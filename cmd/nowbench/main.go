@@ -128,7 +128,7 @@ func run(args []string) error {
 		}},
 		{"E10", func() (experiments.Report, error) { r, _, err := experiments.SWRAID(); return r, err }},
 		{"AV1", func() (experiments.Report, error) {
-			cfg := experiments.DefaultFaultStudyConfig()
+			cfg := experiments.DefaultAvailabilityConfig()
 			if *quick {
 				cfg.Workstations = 8
 				cfg.ReadStreams = 2
@@ -137,7 +137,7 @@ func run(args []string) error {
 			return r, err
 		}},
 		{"AV2", func() (experiments.Report, error) {
-			cfg := experiments.DefaultRemediationStudyConfig()
+			cfg := experiments.DefaultAvailabilityConfig()
 			if *quick {
 				cfg.Workstations = 8
 				cfg.ReadStreams = 2

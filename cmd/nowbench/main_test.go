@@ -133,7 +133,8 @@ func TestSeqScanGoldenDeterminism(t *testing.T) {
 // TestRemediationGoldenDeterminism is the AV2 golden: the self-healing
 // availability study, run twice through the full CLI path with metrics
 // export, must produce byte-identical report JSON and metrics files —
-// the remediator's sweep, cordons and spare rebuilds included.
+// the remediator's sweep, cordons and spare rebuilds included — and the
+// first run must match the goldens stored with the experiments.
 func TestRemediationGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AV2 runs minutes of virtual workload, twice")
@@ -161,6 +162,19 @@ func TestRemediationGoldenDeterminism(t *testing.T) {
 		return raw, mb
 	}
 	r1, m1 := runOnce("1")
+	golden := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if !bytes.Equal(r1, golden("av2.report.json.golden")) {
+		t.Fatalf("AV2 report JSON drifted from its golden:\n%s", r1)
+	}
+	if !bytes.Equal(m1, golden("av2.metrics.golden")) {
+		t.Fatal("AV2 metrics export drifted from its golden")
+	}
 	r2, m2 := runOnce("2")
 	if !bytes.Equal(r1, r2) {
 		t.Fatal("AV2 report JSON is not byte-deterministic")

@@ -158,18 +158,18 @@ func run(args []string) error {
 		*ws, *hours, policy, len(jobs))
 	e := now.NewEngine(*seed)
 	e.Observe(reg)
+	cluster, err := now.NewGLUnix(e, cfg)
+	if err != nil {
+		e.Close()
+		return err
+	}
 	var inj *now.FaultInjector
-	var cluster *now.GLUnix
-	wire := func(c *now.GLUnix) {
-		cluster = c
-		if *faultSpec == "" {
-			return
-		}
-		inj = now.NewInjector(e, now.ClusterFaultTarget{C: c}, plan, reg)
+	if *faultSpec != "" {
+		inj = now.NewInjector(e, now.ClusterFaultTarget{C: cluster}, plan, reg)
 		inj.Schedule()
 		fmt.Printf("fault plan %q: %d faults scheduled\n", plan.Name, len(plan.Faults))
 	}
-	res, err := now.RunGLUnixMixed(e, cfg, activity, jobs, length+12*now.Hour, wire)
+	res, err := cluster.RunMixed(activity, jobs, length+12*now.Hour)
 	e.Close()
 	if err != nil && !errors.Is(err, now.ErrStopped) {
 		return err
@@ -183,11 +183,9 @@ func run(args []string) error {
 	m := res.Master
 	fmt.Printf("migrations: %d   evictions: %d   restarts: %d   image saves/restores: %d/%d\n",
 		m.Migrations, m.Evictions, m.Restarts, m.ImageSaves, m.ImageRestores)
-	if cluster != nil {
-		fst := cluster.Fab.Stats()
-		fmt.Printf("fabric: offered %d pkts / %d B   delivered %d pkts / %d B   drops %d (%d injected)\n",
-			fst.Offered, fst.OfferedBytes, fst.Delivered, fst.DeliveredBytes, fst.Drops, fst.InjectedDrops)
-	}
+	fst := cluster.Fab.Stats()
+	fmt.Printf("fabric: offered %d pkts / %d B   delivered %d pkts / %d B   drops %d (%d injected)\n",
+		fst.Offered, fst.OfferedBytes, fst.Delivered, fst.DeliveredBytes, fst.Drops, fst.InjectedDrops)
 	if inj != nil {
 		fmt.Printf("faults applied: %d/%d   nodes declared down: %d   rejoins: %d\n",
 			inj.Applied(), len(plan.Faults), m.NodesDown, m.Rejoins)

@@ -1,4 +1,4 @@
-package controlplane
+package controlplane_test
 
 import (
 	"io"
@@ -15,19 +15,7 @@ import (
 // how hard a dashboard can poll before it starts stealing simulation
 // throughput.
 func BenchmarkSnapshotStream(b *testing.B) {
-	st, err := NewStack(StackConfig{
-		Seed:         1,
-		Workstations: 16,
-		XFSNodes:     8,
-		Spares:       2,
-		Managers:     2,
-		JobEvery:     30 * sim.Second,
-		JobNodes:     3,
-		JobWork:      40 * sim.Second,
-	})
-	if err != nil {
-		b.Fatalf("NewStack: %v", err)
-	}
+	st := newStack(b, 16, 8, true, false)
 	defer st.Engine.Close()
 	if err := st.Engine.RunUntil(sim.Time(10 * sim.Minute)); err != nil {
 		b.Fatalf("RunUntil: %v", err)

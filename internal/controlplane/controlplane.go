@@ -24,16 +24,11 @@ import (
 	"github.com/nowproject/now/internal/xfs"
 )
 
-// Config wires a ControlPlane to a running stack. Engine and Cluster
-// are required; everything else is optional — a nil XFS disables the
-// storage surface, a nil Registry disables metrics and spans.
-//
-// XFSTarget and Injector exist so the control plane can share state
-// with a pre-built fault pipeline: an obs registry panics on duplicate
-// metric names, so a run that already made a faults.Injector must pass
-// it here rather than let New build a second one; likewise a shared
-// XFSTarget keeps live rebuilds and plan rebuilds drawing hot spares
-// from one pool. When nil, New builds its own from Engine/XFS/Registry.
+// Config wires a ControlPlane to a running stack. Engine, Cluster and
+// Injector are required; XFSTarget is required with XFS. A nil XFS
+// disables the storage surface, a nil Registry disables metrics and
+// spans. The injector and target are the stack's own fault pipeline,
+// shared with its fault plan (internal/stack builds them once).
 type Config struct {
 	Engine    *sim.Engine
 	Cluster   *glunix.Cluster
@@ -75,8 +70,6 @@ type ClusterStatus struct {
 // single-threaded by design.
 type ControlPlane struct {
 	cfg Config
-	tgt *faults.XFSTarget
-	inj *faults.Injector
 
 	commands  *obs.Counter
 	cordons   *obs.Counter
@@ -90,16 +83,16 @@ type ControlPlane struct {
 	draining map[int]bool // ws drains in flight (DrainAsync)
 }
 
-// New builds a control plane over cfg. See Config for the sharing
-// contract on XFSTarget/Injector.
+// New builds a control plane over cfg.
 func New(cfg Config) (*ControlPlane, error) {
-	if cfg.Engine == nil || cfg.Cluster == nil {
-		return nil, errors.New("controlplane: Engine and Cluster are required")
+	if cfg.Engine == nil || cfg.Cluster == nil || cfg.Injector == nil {
+		return nil, errors.New("controlplane: Engine, Cluster and Injector are required")
+	}
+	if cfg.XFS != nil && cfg.XFSTarget == nil {
+		return nil, errors.New("controlplane: an xFS installation needs its XFSTarget")
 	}
 	cp := &ControlPlane{
 		cfg:      cfg,
-		tgt:      cfg.XFSTarget,
-		inj:      cfg.Injector,
 		draining: make(map[int]bool),
 	}
 	r := cfg.Registry
@@ -111,16 +104,6 @@ func New(cfg Config) (*ControlPlane, error) {
 	cp.live = r.Counter("cp.faults.live")
 	cp.snapshots = r.Counter("cp.snapshots")
 	cp.cordoned = r.Gauge("cp.cordoned")
-	if cp.tgt == nil && cfg.XFS != nil {
-		cp.tgt = faults.NewXFSTarget(cfg.XFS)
-	}
-	if cp.inj == nil {
-		var tgt faults.Target = faults.ClusterTarget{C: cfg.Cluster}
-		if cp.tgt != nil {
-			tgt = faults.Combine(faults.ClusterTarget{C: cfg.Cluster}, cp.tgt)
-		}
-		cp.inj = faults.NewInjector(cfg.Engine, tgt, faults.Plan{}, r)
-	}
 	return cp, nil
 }
 
@@ -165,10 +148,8 @@ func (cp *ControlPlane) Storage() []StoreStatus {
 		failed[n] = true
 	}
 	spare := make(map[int]bool)
-	if cp.tgt != nil {
-		for _, n := range cp.tgt.Spares() {
-			spare[n] = true
-		}
+	for _, n := range cp.cfg.XFSTarget.Spares() {
+		spare[n] = true
 	}
 	out := make([]StoreStatus, sys.Nodes())
 	for n := range out {
@@ -207,9 +188,7 @@ func (cp *ControlPlane) Status() ClusterStatus {
 	if sys := cp.cfg.XFS; sys != nil {
 		st.XFSNodes = sys.Nodes()
 		st.FailedStores = sys.FailedStores()
-		if cp.tgt != nil {
-			st.SparesLeft = len(cp.tgt.Spares())
-		}
+		st.SparesLeft = len(cp.cfg.XFSTarget.Spares())
 	}
 	return st
 }
@@ -317,10 +296,7 @@ func (cp *ControlPlane) DrainStorage(p *sim.Proc, node int) error {
 	}
 	sys.CrashStorage(node)
 	if inStripe {
-		if cp.tgt == nil {
-			return fmt.Errorf("controlplane: stripe member %d removed but no spare pool to rebuild from", node)
-		}
-		if _, err := cp.tgt.RebuildDisk(p, node, -1); err != nil {
+		if _, err := cp.cfg.XFSTarget.RebuildDisk(p, node, -1); err != nil {
 			return fmt.Errorf("controlplane: drain of xfs node %d: %w", node, err)
 		}
 		cp.cfg.Registry.Annotate(sp, "stripe data rebuilt onto spare")
@@ -368,7 +344,7 @@ func (cp *ControlPlane) InjectLine(line string) error {
 		f = f2
 	}
 	f.At += cp.cfg.Engine.Now()
-	cp.inj.Inject(f)
+	cp.cfg.Injector.Inject(f)
 	cp.live.Inc()
 	return nil
 }

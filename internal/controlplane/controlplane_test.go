@@ -1,34 +1,61 @@
-package controlplane
+package controlplane_test
 
 import (
 	"testing"
 
+	"github.com/nowproject/now/internal/glunix"
+	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
+	"github.com/nowproject/now/internal/stack"
+	"github.com/nowproject/now/internal/xfs"
 )
+
+// newStack builds the served shape the tests drive on a seed-1 engine:
+// ws workstations, an xFS of xfsNodes (2 spares, 2 managers; none when
+// 0), the control plane and a remediator armed per remediate. With
+// trickle, a 3-wide job of 40s work arrives every 30s so the cluster
+// has placements to drain. The caller closes the engine.
+func newStack(tb testing.TB, ws, xfsNodes int, trickle, remediate bool) *stack.Stack {
+	tb.Helper()
+	e := sim.NewEngine(1)
+	reg := obs.NewRegistry()
+	e.Observe(reg)
+	gcfg := glunix.DefaultConfig(ws)
+	gcfg.Seed = 1
+	spec := stack.Spec{GLUnix: &gcfg, Control: true, Remediate: true}
+	if xfsNodes > 0 {
+		xcfg := xfs.DefaultConfig(xfsNodes)
+		xcfg.SpareNodes = 2
+		xcfg.Managers = 2
+		spec.XFS = &xcfg
+	}
+	st, err := stack.Build(e, reg, spec)
+	if err != nil {
+		e.Close()
+		tb.Fatalf("stack.Build: %v", err)
+	}
+	st.Remediator.SetEnabled(remediate)
+	if trickle {
+		e.Spawn("test/job-trickle", func(p *sim.Proc) {
+			for id := 0; ; id++ {
+				st.Cluster.Master.Submit(glunix.NewJob(id, 3, 40*sim.Second, 0))
+				p.Sleep(30 * sim.Second)
+			}
+		})
+	}
+	return st
+}
 
 // buildStack is the shared test fixture: a small NOW with storage and
 // a background job trickle, remediation armed per test.
-func buildStack(t *testing.T, remediate bool) *Stack {
+func buildStack(t *testing.T, remediate bool) *stack.Stack {
 	t.Helper()
-	st, err := NewStack(StackConfig{
-		Seed:         1,
-		Workstations: 12,
-		XFSNodes:     8,
-		Spares:       2,
-		Managers:     2,
-		JobEvery:     30 * sim.Second,
-		JobNodes:     3,
-		JobWork:      40 * sim.Second,
-		RemediateOn:  remediate,
-	})
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
+	st := newStack(t, 12, 8, true, remediate)
 	t.Cleanup(st.Engine.Close)
 	return st
 }
 
-func runTo(t *testing.T, st *Stack, at sim.Time) {
+func runTo(t *testing.T, st *stack.Stack, at sim.Time) {
 	t.Helper()
 	if err := st.Engine.RunUntil(at); err != nil {
 		t.Fatalf("RunUntil(%s): %v", at, err)
@@ -36,7 +63,7 @@ func runTo(t *testing.T, st *Stack, at sim.Time) {
 }
 
 // counter reads one metric's value from the registry snapshot.
-func counter(t *testing.T, st *Stack, name string) int64 {
+func counter(t *testing.T, st *stack.Stack, name string) int64 {
 	t.Helper()
 	for _, m := range st.Registry.Snapshot() {
 		if m.Name == name {
@@ -211,7 +238,7 @@ func TestRemediatorRebuildBeforeRejoin(t *testing.T) {
 	if inStripe {
 		t.Fatal("dead node 1 still named in the stripe layout")
 	}
-	if got := len(st.CP.tgt.Spares()); got != 1 {
+	if got := len(st.Target.Spares()); got != 1 {
 		t.Fatalf("spare pool = %d, want 1 (one consumed by the rebuild)", got)
 	}
 }

@@ -1,4 +1,4 @@
-package controlplane
+package controlplane_test
 
 import (
 	"bytes"
@@ -6,30 +6,20 @@ import (
 	"testing"
 	"time"
 
+	"github.com/nowproject/now/internal/controlplane"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
+	"github.com/nowproject/now/internal/stack"
 )
 
 // startServed boots a full stack behind a free-running Server and an
 // httptest HTTP front end — the `nowsim serve` + `nowctl` pipeline in
 // one process. Run with -race: every engine touch must funnel through
 // the drive goroutine.
-func startServed(t *testing.T) (*Client, *Stack) {
+func startServed(t *testing.T) (*controlplane.Client, *stack.Stack) {
 	t.Helper()
-	st, err := NewStack(StackConfig{
-		Seed:         1,
-		Workstations: 10,
-		XFSNodes:     8,
-		Spares:       2,
-		Managers:     2,
-		JobEvery:     30 * sim.Second,
-		JobNodes:     3,
-		JobWork:      40 * sim.Second,
-	})
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
-	srv := NewServer(st.CP, st.Remediator, ServerConfig{Rate: 0, Quantum: 500 * sim.Millisecond})
+	st := newStack(t, 10, 8, true, false)
+	srv := controlplane.NewServer(st.CP, st.Remediator, controlplane.ServerConfig{Rate: 0, Quantum: 500 * sim.Millisecond})
 	srv.Start()
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -40,7 +30,7 @@ func startServed(t *testing.T) (*Client, *Stack) {
 			t.Errorf("server drive error: %v", err)
 		}
 	})
-	return &Client{Base: hs.URL, HTTP: hs.Client()}, st
+	return &controlplane.Client{Base: hs.URL, HTTP: hs.Client()}, st
 }
 
 // waitFor polls cond through the client until it holds or the wall
@@ -191,11 +181,8 @@ func TestServeRoundTrip(t *testing.T) {
 // drive loop takes the throttle path, commands interleaving with
 // sleeps.
 func TestServeThrottled(t *testing.T) {
-	st, err := NewStack(StackConfig{Seed: 1, Workstations: 6})
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
-	srv := NewServer(st.CP, st.Remediator, ServerConfig{Rate: 2000, Quantum: 200 * sim.Millisecond})
+	st := newStack(t, 6, 0, false, false)
+	srv := controlplane.NewServer(st.CP, st.Remediator, controlplane.ServerConfig{Rate: 2000, Quantum: 200 * sim.Millisecond})
 	srv.Start()
 	defer func() {
 		srv.Stop()
@@ -228,12 +215,9 @@ func TestServeThrottled(t *testing.T) {
 
 // TestServerStopIdempotent: Stop twice, and Stop racing Do, are safe.
 func TestServerStopIdempotent(t *testing.T) {
-	st, err := NewStack(StackConfig{Seed: 1, Workstations: 4})
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
+	st := newStack(t, 4, 0, false, false)
 	defer st.Engine.Close()
-	srv := NewServer(st.CP, nil, ServerConfig{})
+	srv := controlplane.NewServer(st.CP, nil, controlplane.ServerConfig{})
 	srv.Start()
 	srv.Stop()
 	srv.Stop()

@@ -68,7 +68,11 @@ func RecruitmentPolicyAblation(ws, days int, seed int64) (Report, []PolicyRow, e
 		cfg.HeartbeatInterval = 5 * sim.Minute
 		cfg.CheckpointInterval = 30 * sim.Minute
 		e := sim.NewEngine(seed)
-		res, err := glunix.RunMixed(e, cfg, activity, jobs, horizon)
+		c, err := glunix.New(e, cfg)
+		var res glunix.MixedResult
+		if err == nil {
+			res, err = c.RunMixed(activity, jobs, horizon)
+		}
 		e.Close()
 		if err != nil {
 			return Report{}, nil, fmt.Errorf("policy ablation %v: %w", policy, err)

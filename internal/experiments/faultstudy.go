@@ -1,49 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/nowproject/now/internal/faults"
-	"github.com/nowproject/now/internal/glunix"
-	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
 	"github.com/nowproject/now/internal/stats"
-	"github.com/nowproject/now/internal/trace"
-	"github.com/nowproject/now/internal/xfs"
 )
-
-// FaultStudyConfig shapes the AV1 availability study.
-type FaultStudyConfig struct {
-	// Workstations in the GLUnix cluster (the mixed workload side).
-	Workstations int
-	// XFSNodes and XFSSpares shape the storage side: XFSNodes total,
-	// of which the last XFSSpares are hot spares outside the stripe.
-	XFSNodes  int
-	XFSSpares int
-	// Horizon is the faulted portion of the run; the simulation gets
-	// extra slack after it so restarted jobs can finish.
-	Horizon sim.Duration
-	// ReadStreams is how many parallel clients keep the stores busy.
-	// It must be enough to make the array throughput-bound, or the
-	// degraded window shows no penalty (see faultStudyRun). Zero means 4.
-	ReadStreams int
-	// Seed drives the engine, the traces and the fault plan.
-	Seed int64
-}
-
-// DefaultFaultStudyConfig returns the AV1 scale: a small NOW where a
-// single crash is a visible fraction of capacity.
-func DefaultFaultStudyConfig() FaultStudyConfig {
-	return FaultStudyConfig{
-		Workstations: 16,
-		XFSNodes:     10,
-		XFSSpares:    2,
-		Horizon:      sim.Hour,
-		ReadStreams:  4,
-		Seed:         1,
-	}
-}
 
 // FaultStudyRow is one AV1 scenario measurement.
 type FaultStudyRow struct {
@@ -85,24 +48,17 @@ func faultStudyPlan() faults.Plan {
 // delays stay modest. This is the paper's availability argument run
 // end-to-end: "if one workstation in the NOW crashes, any other can
 // take its place".
-func FaultStudy(cfg FaultStudyConfig) (Report, []FaultStudyRow, error) {
-	rows := make([]FaultStudyRow, 0, 2)
-	reg := map[string]*obs.Registry{}
-	for _, sc := range []struct {
-		name string
-		plan *faults.Plan
-	}{
-		{"baseline", nil},
-		{"faulted", planPtr(faultStudyPlan())},
-	} {
-		row, regs, err := faultStudyRun(cfg, sc.name, sc.plan)
-		if err != nil {
-			return Report{}, nil, fmt.Errorf("fault study %s: %w", sc.name, err)
-		}
-		rows = append(rows, row)
-		for k, r := range regs {
-			reg[sc.name+"/"+k] = r
-		}
+func FaultStudy(cfg AvailabilityConfig) (Report, []FaultStudyRow, error) {
+	runs, reg, err := availabilityRuns(cfg, "fault study", []availabilityArm{
+		{name: "baseline"},
+		{name: "faulted", plan: faultStudyPlan()},
+	})
+	if err != nil {
+		return Report{}, nil, err
+	}
+	rows := make([]FaultStudyRow, 0, len(runs))
+	for _, run := range runs {
+		rows = append(rows, faultStudyRow(run))
 	}
 
 	tbl := stats.NewTable("AV1 — availability under an injected fault plan",
@@ -127,134 +83,29 @@ func FaultStudy(cfg FaultStudyConfig) (Report, []FaultStudyRow, error) {
 	}, rows, nil
 }
 
-func planPtr(p faults.Plan) *faults.Plan { return &p }
-
-// faultStudyRun executes one scenario on a single engine: the GLUnix
-// mixed workload and the xFS read stream share virtual time, and one
-// injector drives both through a combined target.
-func faultStudyRun(cfg FaultStudyConfig, name string, plan *faults.Plan) (FaultStudyRow, map[string]*obs.Registry, error) {
-	row := FaultStudyRow{Scenario: name}
-
-	e := sim.NewEngine(cfg.Seed)
-	defer e.Close()
-	regCluster := obs.NewRegistry()
-	e.Observe(regCluster)
-	regXFS := obs.NewRegistry()
-	regXFS.SetClock(func() obs.Time { return int64(e.Now()) })
-
-	// Storage side: an xFS installation with hot spares on its own
-	// fabric (storage ids in the plan address this system).
-	xcfg := xfs.DefaultConfig(cfg.XFSNodes)
-	xcfg.SpareNodes = cfg.XFSSpares
-	xcfg.Managers = 2
-	xcfg.ClientCacheBlocks = 16 // small cache: reads exercise the RAID
-	sys, err := xfs.New(e, xcfg)
-	if err != nil {
-		return row, nil, err
+// faultStudyRow reads one AV1 arm's measurements.
+func faultStudyRow(run availabilityResult) FaultStudyRow {
+	res := run.mixed
+	row := FaultStudyRow{
+		Scenario:      run.name,
+		JobsCompleted: res.JobsCompleted,
+		JobsTotal:     res.JobsTotal,
+		MeanResponse:  res.MeanResponse,
+		Rejoins:       res.Master.Rejoins,
+		Failovers:     run.st.XFS.Stats().Failovers,
+		FaultsApplied: run.faultsApplied(),
 	}
-	sys.Instrument(regXFS)
-
-	// The read load: four clients each cycle through their own file,
-	// larger than the client cache so steady-state reads hit storage.
-	// Four parallel streams keep the stores throughput-bound — a single
-	// latency-bound stream would actually speed up degraded (parallel
-	// reconstruct overlaps the survivors), hiding the cost the study is
-	// after. Completions are bucketed by minute for the phase numbers.
-	const fileBlocks = 128
-	readStreams := cfg.ReadStreams
-	if readStreams <= 0 {
-		readStreams = 4
-	}
-	const bucket = 60 * sim.Second
-	buckets := make([]int64, int(cfg.Horizon/bucket)+1)
-	var firstClient *xfs.Client
-	for r := 0; r < readStreams; r++ {
-		client := sys.Client(3 + r)
-		file := xfs.FileID(1 + r)
-		if firstClient == nil {
-			firstClient = client
-		}
-		e.Spawn(fmt.Sprintf("faultstudy/xfsload%d", r), func(p *sim.Proc) {
-			buf := make([]byte, xcfg.BlockBytes)
-			for blk := uint32(0); blk < fileBlocks; blk++ {
-				if err := client.Write(p, file, blk, buf); err != nil {
-					p.Fail(err)
-				}
-			}
-			if err := client.Sync(p); err != nil {
-				p.Fail(err)
-			}
-			for blk := uint32(0); ; blk = (blk + 1) % fileBlocks {
-				if p.Now() >= sim.Time(cfg.Horizon) {
-					return
-				}
-				data, err := client.Read(p, file, blk)
-				if err != nil {
-					// Reads during the degraded window may race the crash
-					// itself; skip rather than abort the stream.
-					continue
-				}
-				if b := int(p.Now() / bucket); b < len(buckets) {
-					buckets[b] += int64(len(data))
-				}
-			}
-		})
-	}
-
-	// Cluster side: interactive users plus the parallel job log.
-	gcfg := glunix.DefaultConfig(cfg.Workstations)
-	gcfg.Seed = cfg.Seed
-	gcfg.Obs = regCluster
-	acfg := trace.DefaultActivityConfig(cfg.Workstations, 1)
-	acfg.Seed = cfg.Seed
-	activity := trace.GenerateActivity(acfg)
-	jcfg := trace.DefaultJobTraceConfig(cfg.Horizon)
-	jcfg.Seed = cfg.Seed
-	jcfg.MachineNodes = cfg.Workstations / 2 // every job fits the NOW
-	jcfg.MeanInterarrival = 10 * sim.Minute
-	jcfg.MeanDevWork = 3 * sim.Minute
-	jcfg.MeanProdWork = 10 * sim.Minute
-	jobs := trace.GenerateJobs(jcfg)
-	for i := range jobs {
-		if jobs[i].CommGrain < 5*sim.Second {
-			jobs[i].CommGrain = 5 * sim.Second
-		}
-	}
-
-	var inj *faults.Injector
-	wire := func(c *glunix.Cluster) {
-		if plan == nil {
-			return
-		}
-		inj = faults.NewInjector(e,
-			faults.Combine(faults.ClusterTarget{C: c}, faults.NewXFSTarget(sys)),
-			*plan, regCluster)
-		inj.Schedule()
-	}
-	// Slack after the horizon lets restarted jobs finish.
-	res, err := glunix.RunMixedWith(e, gcfg, activity, jobs, cfg.Horizon+2*sim.Hour, wire)
-	if err != nil && !errors.Is(err, sim.ErrStopped) {
-		return row, nil, err
-	}
-
-	row.JobsCompleted = res.JobsCompleted
-	row.JobsTotal = res.JobsTotal
-	row.MeanResponse = res.MeanResponse
 	if res.Master.UserDelays.N() > 0 {
 		row.UserDelayP95 = res.Master.UserDelays.Percentile(95)
 	}
-	row.Rejoins = res.Master.Rejoins
-	row.Failovers = sys.Stats().Failovers
-	_, _, row.DegradedReads = firstClient.Array().Stats()
-	if inj != nil {
-		row.FaultsApplied = inj.Applied()
-	}
+	_, _, row.DegradedReads = run.st.XFS.Client(firstReader).Array().Stats()
 
 	// Phase bandwidths from the minute buckets, avoiding the buckets
 	// that contain a transition. Phases follow faultStudyPlan times;
 	// the baseline reports the same windows for comparability.
+	buckets := run.buckets
 	window := func(from, to sim.Time) float64 {
-		lo, hi := int(from/bucket)+1, int(to/bucket)
+		lo, hi := int(from/availabilityBucket)+1, int(to/availabilityBucket)
 		if hi > len(buckets) {
 			hi = len(buckets)
 		}
@@ -267,13 +118,12 @@ func faultStudyRun(cfg FaultStudyConfig, name string, plan *faults.Plan) (FaultS
 		if n == 0 {
 			return 0
 		}
-		return float64(sum) / float64(sim.Duration(n)*bucket/sim.Second) / 1e6
+		return float64(sum) / float64(sim.Duration(n)*availabilityBucket/sim.Second) / 1e6
 	}
 	row.HealthyMBps = window(0, 1500*sim.Second)
 	row.DegradedMBps = window(1500*sim.Second, 2100*sim.Second)
 	// The rebuilt window ends before the manager kill at 2700s, so it
 	// shows the pure post-rebuild recovery.
 	row.RebuiltMBps = window(2400*sim.Second, 2700*sim.Second)
-
-	return row, map[string]*obs.Registry{"cluster": regCluster, "xfs": regXFS}, nil
+	return row
 }

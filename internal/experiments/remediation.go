@@ -1,17 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
-	"github.com/nowproject/now/internal/controlplane"
 	"github.com/nowproject/now/internal/faults"
-	"github.com/nowproject/now/internal/glunix"
-	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
 	"github.com/nowproject/now/internal/stats"
-	"github.com/nowproject/now/internal/trace"
-	"github.com/nowproject/now/internal/xfs"
 )
 
 // AV2 — availability with the loop closed. AV1 shows the stack riding
@@ -24,33 +18,6 @@ import (
 // automatically). The gap between the two availability numbers is what
 // the remediation loop buys. Pure virtual time, so both runs are
 // byte-deterministic and golden-gated.
-
-// RemediationStudyConfig shapes the AV2 study.
-type RemediationStudyConfig struct {
-	// Workstations in the GLUnix cluster.
-	Workstations int
-	// XFSNodes and XFSSpares shape the storage side.
-	XFSNodes  int
-	XFSSpares int
-	// Horizon is the faulted portion of the run.
-	Horizon sim.Duration
-	// ReadStreams is the parallel client count keeping storage busy.
-	ReadStreams int
-	// Seed drives everything.
-	Seed int64
-}
-
-// DefaultRemediationStudyConfig mirrors the AV1 scale.
-func DefaultRemediationStudyConfig() RemediationStudyConfig {
-	return RemediationStudyConfig{
-		Workstations: 16,
-		XFSNodes:     10,
-		XFSSpares:    2,
-		Horizon:      sim.Hour,
-		ReadStreams:  4,
-		Seed:         1,
-	}
-}
 
 // RemediationRow is one AV2 measurement.
 type RemediationRow struct {
@@ -83,24 +50,17 @@ func av2Plan() faults.Plan {
 // side achieves. Availability is the fraction of whole minutes in
 // which the xFS read stream delivered at least 90% of its healthy-phase
 // bandwidth — a throughput-SLO framing of "the cluster is usable".
-func RemediationStudy(cfg RemediationStudyConfig) (Report, []RemediationRow, error) {
-	rows := make([]RemediationRow, 0, 2)
-	reg := map[string]*obs.Registry{}
-	for _, sc := range []struct {
-		name      string
-		remediate bool
-	}{
-		{"remediate off", false},
-		{"remediate on", true},
-	} {
-		row, regs, err := remediationRun(cfg, sc.name, sc.remediate)
-		if err != nil {
-			return Report{}, nil, fmt.Errorf("remediation study %s: %w", sc.name, err)
-		}
-		rows = append(rows, row)
-		for k, r := range regs {
-			reg[sc.name+"/"+k] = r
-		}
+func RemediationStudy(cfg AvailabilityConfig) (Report, []RemediationRow, error) {
+	runs, reg, err := availabilityRuns(cfg, "remediation study", []availabilityArm{
+		{name: "remediate off", plan: av2Plan(), heal: true},
+		{name: "remediate on", plan: av2Plan(), heal: true, remediate: true},
+	})
+	if err != nil {
+		return Report{}, nil, err
+	}
+	rows := make([]RemediationRow, 0, len(runs))
+	for _, run := range runs {
+		rows = append(rows, remediationRow(run))
 	}
 
 	tbl := stats.NewTable("AV2 — availability with self-healing remediation off vs on",
@@ -125,132 +85,23 @@ func RemediationStudy(cfg RemediationStudyConfig) (Report, []RemediationRow, err
 	}, rows, nil
 }
 
-// remediationRun executes one AV2 arm: the AV1 workload shape, a
-// control plane over the live stack, and a remediator that is armed or
-// not. The injector and the spare pool are shared between the plan and
-// the control plane through one XFSTarget.
-func remediationRun(cfg RemediationStudyConfig, name string, remediate bool) (RemediationRow, map[string]*obs.Registry, error) {
-	row := RemediationRow{Scenario: name}
-
-	e := sim.NewEngine(cfg.Seed)
-	defer e.Close()
-	regCluster := obs.NewRegistry()
-	e.Observe(regCluster)
-	regXFS := obs.NewRegistry()
-	regXFS.SetClock(func() obs.Time { return int64(e.Now()) })
-
-	xcfg := xfs.DefaultConfig(cfg.XFSNodes)
-	xcfg.SpareNodes = cfg.XFSSpares
-	xcfg.Managers = 2
-	xcfg.ClientCacheBlocks = 16
-	sys, err := xfs.New(e, xcfg)
-	if err != nil {
-		return row, nil, err
+// remediationRow reads one AV2 arm's measurements.
+func remediationRow(run availabilityResult) RemediationRow {
+	row := RemediationRow{
+		Scenario:      run.name,
+		JobsCompleted: run.mixed.JobsCompleted,
+		JobsTotal:     run.mixed.JobsTotal,
+		MeanResponse:  run.mixed.MeanResponse,
+		FaultsApplied: run.faultsApplied(),
 	}
-	sys.Instrument(regXFS)
-
-	// The same throughput-bound read load as AV1, bucketed by minute.
-	const fileBlocks = 128
-	readStreams := cfg.ReadStreams
-	if readStreams <= 0 {
-		readStreams = 4
-	}
-	const bucket = 60 * sim.Second
-	buckets := make([]int64, int(cfg.Horizon/bucket)+1)
-	for r := 0; r < readStreams; r++ {
-		client := sys.Client(3 + r)
-		file := xfs.FileID(1 + r)
-		e.Spawn(fmt.Sprintf("av2/xfsload%d", r), func(p *sim.Proc) {
-			buf := make([]byte, xcfg.BlockBytes)
-			for blk := uint32(0); blk < fileBlocks; blk++ {
-				if err := client.Write(p, file, blk, buf); err != nil {
-					p.Fail(err)
-				}
-			}
-			if err := client.Sync(p); err != nil {
-				p.Fail(err)
-			}
-			for blk := uint32(0); ; blk = (blk + 1) % fileBlocks {
-				if p.Now() >= sim.Time(cfg.Horizon) {
-					return
-				}
-				data, err := client.Read(p, file, blk)
-				if err != nil {
-					continue
-				}
-				if b := int(p.Now() / bucket); b < len(buckets) {
-					buckets[b] += int64(len(data))
-				}
-			}
-		})
-	}
-
-	gcfg := glunix.DefaultConfig(cfg.Workstations)
-	gcfg.Seed = cfg.Seed
-	gcfg.Obs = regCluster
-	acfg := trace.DefaultActivityConfig(cfg.Workstations, 1)
-	acfg.Seed = cfg.Seed
-	activity := trace.GenerateActivity(acfg)
-	jcfg := trace.DefaultJobTraceConfig(cfg.Horizon)
-	jcfg.Seed = cfg.Seed
-	jcfg.MachineNodes = cfg.Workstations / 2
-	jcfg.MeanInterarrival = 10 * sim.Minute
-	jcfg.MeanDevWork = 3 * sim.Minute
-	jcfg.MeanProdWork = 10 * sim.Minute
-	jobs := trace.GenerateJobs(jcfg)
-	for i := range jobs {
-		if jobs[i].CommGrain < 5*sim.Second {
-			jobs[i].CommGrain = 5 * sim.Second
-		}
-	}
-
-	plan := av2Plan()
-	var inj *faults.Injector
-	wire := func(c *glunix.Cluster) {
-		// One XFSTarget shared by the plan injector and the control
-		// plane: live rebuilds and plan rebuilds draw the same spares.
-		tgt := faults.NewXFSTarget(sys)
-		inj = faults.NewInjector(e,
-			faults.Combine(faults.ClusterTarget{C: c}, tgt), plan, regCluster)
-		inj.Schedule()
-		cp, cperr := controlplane.New(controlplane.Config{
-			Engine:    e,
-			Cluster:   c,
-			XFS:       sys,
-			XFSTarget: tgt,
-			Injector:  inj,
-			Registry:  regCluster,
-		})
-		if cperr != nil {
-			e.Fail(cperr)
-			return
-		}
-		rem := controlplane.NewRemediator(cp, controlplane.DefaultRemediationPolicy())
-		rem.Start()
-		rem.SetEnabled(remediate)
-	}
-	res, err := glunix.RunMixedWith(e, gcfg, activity, jobs, cfg.Horizon+2*sim.Hour, wire)
-	if err != nil && !errors.Is(err, sim.ErrStopped) {
-		return row, nil, err
-	}
-
-	row.JobsCompleted = res.JobsCompleted
-	row.JobsTotal = res.JobsTotal
-	row.MeanResponse = res.MeanResponse
-	row.FaultsApplied = inj.Applied()
-	for _, m := range regCluster.Snapshot() {
-		switch m.Name {
-		case "remediate.rebuilds":
-			row.Rebuilds = m.Value
-		case "remediate.actions":
-			row.RemediateActions = m.Value
-		}
-	}
+	row.Rebuilds, _ = run.st.Registry.CounterValue("remediate.rebuilds")
+	row.RemediateActions, _ = run.st.Registry.CounterValue("remediate.actions")
 
 	// Availability: whole minutes at ≥90% of the healthy-phase mean.
 	// Healthy = minutes 1..24 (warm, before the 1500s disk failure);
 	// the measured span is every complete minute after warmup.
-	healthyEnd := int(1500 * sim.Second / bucket)
+	buckets := run.buckets
+	healthyEnd := int(1500 * sim.Second / availabilityBucket)
 	var healthySum int64
 	for i := 1; i < healthyEnd; i++ {
 		healthySum += buckets[i]
@@ -269,6 +120,5 @@ func remediationRun(cfg RemediationStudyConfig, name string, remediate bool) (Re
 	if total > 0 {
 		row.AvailabilityPct = 100 * float64(okMin) / float64(total)
 	}
-
-	return row, map[string]*obs.Registry{"cluster": regCluster, "xfs": regXFS}, nil
+	return row
 }

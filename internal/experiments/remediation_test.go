@@ -5,24 +5,16 @@ import (
 	"testing"
 )
 
-// quickRemediationConfig mirrors nowbench -quick: small enough for CI,
-// large enough that one failed store is a visible capacity fraction.
-func quickRemediationConfig() RemediationStudyConfig {
-	cfg := DefaultRemediationStudyConfig()
-	cfg.Workstations = 8
-	cfg.ReadStreams = 2
-	return cfg
-}
-
 // TestRemediationStudyImproves is the AV2 acceptance assertion: under
 // the same unrepaired fault plan, arming the self-healing loop must
 // yield measurably higher availability — and it must get there by
-// actually remediating (rebuilds happened), not by luck.
+// actually remediating (rebuilds happened), not by luck. The run must
+// also reproduce the stored AV2 golden.
 func TestRemediationStudyImproves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AV2 study runs minutes of virtual workload")
 	}
-	rep, rows, err := RemediationStudy(quickRemediationConfig())
+	rep, rows, err := RemediationStudy(quickAvailabilityConfig())
 	if err != nil {
 		t.Fatalf("RemediationStudy: %v", err)
 	}
@@ -52,4 +44,5 @@ func TestRemediationStudyImproves(t *testing.T) {
 	if off.FaultsApplied != on.FaultsApplied {
 		t.Fatalf("fault counts diverge: off %d, on %d", off.FaultsApplied, on.FaultsApplied)
 	}
+	checkGolden(t, rep, "av2")
 }

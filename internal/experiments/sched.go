@@ -93,7 +93,11 @@ func Figure3(cfg Figure3Config) (Report, []Figure3Row, error) {
 		acfg.Seed = cfg.Seed
 		activity := trace.GenerateActivity(acfg)
 		e := sim.NewEngine(cfg.Seed)
-		mixed, err := glunix.RunMixed(e, gcfg(ws), activity, jobs, horizon)
+		c, err := glunix.New(e, gcfg(ws))
+		var mixed glunix.MixedResult
+		if err == nil {
+			mixed, err = c.RunMixed(activity, jobs, horizon)
+		}
 		e.Close()
 		if err != nil {
 			return Report{}, nil, fmt.Errorf("figure3 ws=%d: %w", ws, err)

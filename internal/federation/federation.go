@@ -29,6 +29,7 @@ import (
 	"github.com/nowproject/now/internal/netsim"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
+	"github.com/nowproject/now/internal/stack"
 	"github.com/nowproject/now/internal/xfs"
 )
 
@@ -161,6 +162,7 @@ func New(cfg Config) (*Federation, error) {
 		}
 		c.eng.Observe(c.reg)
 		c.gw = newGateway(f, i, c.eng, c.reg)
+		var spec stack.Spec
 		if cc.Workstations > 0 || cc.GLUnix != nil {
 			gcfg := glunix.DefaultConfig(cc.Workstations)
 			if cc.GLUnix != nil {
@@ -169,32 +171,22 @@ func New(cfg Config) (*Federation, error) {
 			if gcfg.Seed == 0 {
 				gcfg.Seed = cfg.Seed + int64(i)*7919
 			}
-			gcfg.Obs = c.reg
-			gl, err := glunix.New(c.eng, gcfg)
-			if err != nil {
-				return nil, fmt.Errorf("federation: cluster %s: %w", c.name, err)
-			}
-			c.GL = gl
+			spec.GLUnix = &gcfg
 		}
 		if cc.XFSNodes > 0 || cc.XFS != nil {
 			xcfg := xfs.DefaultConfig(cc.XFSNodes)
 			if cc.XFS != nil {
 				xcfg = *cc.XFS
 			}
-			sys, err := xfs.New(c.eng, xcfg)
-			if err != nil {
-				return nil, fmt.Errorf("federation: cluster %s: %w", c.name, err)
-			}
-			sys.Instrument(c.reg)
-			// The cluster fabric claims the net.* names when GLUnix is
-			// present (same convention as the scenario runner).
-			if c.GL == nil {
-				sys.Fabric().Instrument(c.reg)
-			}
-			c.FS = sys
+			spec.XFS = &xcfg
 			f.homes = append(f.homes, i)
 			f.blkBytes[i] = xcfg.BlockBytes
 		}
+		st, err := stack.Build(c.eng, c.reg, spec)
+		if err != nil {
+			return nil, fmt.Errorf("federation: cluster %s: %w", c.name, err)
+		}
+		c.GL, c.FS = st.Cluster, st.XFS
 		f.clusters[i] = c
 	}
 	if len(f.homes) > 0 {

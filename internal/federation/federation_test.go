@@ -367,3 +367,70 @@ func TestWANAsymmetricLinks(t *testing.T) {
 		t.Fatalf("10 Mb/s direction not slower than 20 Mb/s: %v vs %v", s01, s10)
 	}
 }
+
+// TestWANAtMostOnceOutlivesLaterCalls: a call whose handler outlasts
+// the caller's timeout is retried while more than 4,096 later calls
+// from the same caller come and go. The retry must still find the
+// call's dedup entry and leave the handler at one execution; once the
+// slow call settles, the next call's watermark lets the callee drop
+// every settled entry.
+func TestWANAtMostOnceOutlivesLaterCalls(t *testing.T) {
+	f, err := New(Config{
+		Clusters: []ClusterConfig{{Name: "a"}, {Name: "b"}},
+		WAN: WANConfig{
+			Latency:       100 * sim.Microsecond,
+			BandwidthMbps: 1000,
+			CallTimeout:   100 * sim.Millisecond,
+			CallRetries:   3,
+		},
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const hSlow, hFast = 0xf0, 0xf1
+	slowRuns := 0
+	b := f.Cluster(1).Gateway()
+	b.HandleCall(hSlow, func(p *sim.Proc, from int, arg any) (any, int) {
+		slowRuns++
+		p.Sleep(150 * sim.Millisecond)
+		return "slow", 8
+	})
+	b.HandleCall(hFast, func(p *sim.Proc, from int, arg any) (any, int) { return nil, 0 })
+
+	a := f.Cluster(0)
+	call := func(p *sim.Proc, h uint8) any {
+		rep, err := a.Gateway().Call(p, 1, h, nil, 8, 8)
+		if err != nil {
+			a.Engine().Fail(err)
+		}
+		return rep
+	}
+	var slowRep any
+	a.Engine().Spawn("slow", func(p *sim.Proc) { slowRep = call(p, hSlow) })
+	const procs, perProc = 20, 256 // 5,120 calls settle before the retry
+	for i := 0; i < procs; i++ {
+		a.Engine().Spawn(fmt.Sprintf("fast%d", i), func(p *sim.Proc) {
+			for n := 0; n < perProc; n++ {
+				call(p, hFast)
+			}
+		})
+	}
+	a.Engine().Spawn("late", func(p *sim.Proc) {
+		p.Sleep(200 * sim.Millisecond)
+		call(p, hFast)
+	})
+	if err := f.Run(sim.Time(sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if retries, _ := f.Registry(0).CounterValue("wan.call.retries"); retries == 0 {
+		t.Fatal("slow call was never retried: the test exercises nothing")
+	}
+	if slowRuns != 1 || slowRep != "slow" {
+		t.Fatalf("slow handler ran %d times, reply %v; want once, \"slow\"", slowRuns, slowRep)
+	}
+	if n := len(b.dedup[0].ents); n > 1 {
+		t.Fatalf("callee still caches %d entries after every call settled", n)
+	}
+}

@@ -19,7 +19,9 @@
 //     process on the cluster's engine, no blocking.
 //   - Call: blocking RPC with per-attempt timeout, doubling backoff and
 //     at-most-once execution (dest-side dedup cache replays the cached
-//     reply instead of re-running the handler). Handlers run in a
+//     reply instead of re-running the handler; every call carries the
+//     caller's acked watermark, which is what prunes that cache, as
+//     with Active Messages' ackedBelow). Handlers run in a
 //     spawned process on the destination engine, so they may themselves
 //     block on local xfs reads or further WAN calls.
 package federation
@@ -122,6 +124,10 @@ type wanMsg struct {
 	handler uint8
 	src     int
 	seq     uint64
+	// acked (calls only) is the caller's watermark towards this
+	// destination: every call it made there with seq < acked is
+	// settled, so the callee may forget them.
+	acked   uint64
 	bytes   int
 	payload any
 }
@@ -184,15 +190,11 @@ type CastHandler func(from int, arg any)
 type CallHandler func(p *sim.Proc, from int, arg any) (any, int)
 
 type pendingCall struct {
+	dst      int
 	sig      *sim.Signal
 	reply    any
 	done     bool
 	timedOut bool
-}
-
-type dedupKey struct {
-	src int
-	seq uint64
 }
 
 type dedupEntry struct {
@@ -201,11 +203,18 @@ type dedupEntry struct {
 	bytes int
 }
 
+// dedupWindow is one caller's at-most-once state at a gateway: an
+// entry per call at or above floor, the highest acked watermark the
+// caller has sent. Entries below floor are settled at the caller and
+// can never be asked for again: a pipe delivers in send order, and the
+// watermark passes a call only after its last copy was sent.
+type dedupWindow struct {
+	floor uint64
+	ents  map[uint64]*dedupEntry
+}
+
 // wanHdrBytes is the fixed framing charged on every WAN message.
 const wanHdrBytes = 64
-
-// maxDedup bounds the at-most-once replay window per gateway.
-const maxDedup = 4096
 
 // Gateway is cluster c's endpoint on the WAN fabric.
 type Gateway struct {
@@ -214,12 +223,11 @@ type Gateway struct {
 	eng     *sim.Engine
 	m       wanMetrics
 
-	casts  map[uint8]CastHandler
-	calls  map[uint8]CallHandler
-	seq    uint64
-	pend   map[uint64]*pendingCall
-	dedup  map[dedupKey]*dedupEntry
-	dedupQ []dedupKey // FIFO eviction order
+	casts map[uint8]CastHandler
+	calls map[uint8]CallHandler
+	seq   uint64
+	pend  map[uint64]*pendingCall
+	dedup map[int]*dedupWindow // by calling cluster
 }
 
 func newGateway(fed *Federation, cluster int, eng *sim.Engine, reg *obs.Registry) *Gateway {
@@ -231,7 +239,7 @@ func newGateway(fed *Federation, cluster int, eng *sim.Engine, reg *obs.Registry
 		casts:   map[uint8]CastHandler{},
 		calls:   map[uint8]CallHandler{},
 		pend:    map[uint64]*pendingCall{},
-		dedup:   map[dedupKey]*dedupEntry{},
+		dedup:   map[int]*dedupWindow{},
 	}
 }
 
@@ -261,7 +269,7 @@ func (g *Gateway) Call(p *sim.Proc, dst int, id uint8, arg any, bytes, repBytes 
 	g.m.calls.Inc()
 	g.seq++
 	seq := g.seq
-	pc := &pendingCall{sig: sim.NewSignal(g.eng, "wan.call")}
+	pc := &pendingCall{dst: dst, sig: sim.NewSignal(g.eng, "wan.call")}
 	g.pend[seq] = pc
 	defer delete(g.pend, seq)
 
@@ -281,7 +289,8 @@ func (g *Gateway) Call(p *sim.Proc, dst int, id uint8, arg any, bytes, repBytes 
 			g.m.retries.Inc()
 		}
 		g.fed.fabric.send(g.cluster, dst, g.eng, g.m, &wanMsg{
-			kind: mCall, handler: id, src: g.cluster, seq: seq, bytes: bytes + wanHdrBytes, payload: arg,
+			kind: mCall, handler: id, src: g.cluster, seq: seq, acked: g.ackedBelow(dst),
+			bytes: bytes + wanHdrBytes, payload: arg,
 		})
 		pc.timedOut = false
 		tm := g.eng.At(g.eng.Now()+sim.Time(timeout), func() {
@@ -326,9 +335,34 @@ func (g *Gateway) deliver(m *wanMsg) {
 	}
 }
 
+// ackedBelow is the watermark sent to dst: the lowest seq of a call to
+// dst still pending here. The call being sent is itself pending, so
+// the minimum always exists.
+func (g *Gateway) ackedBelow(dst int) uint64 {
+	low := g.seq
+	for seq, pc := range g.pend {
+		if pc.dst == dst && seq < low {
+			low = seq
+		}
+	}
+	return low
+}
+
 func (g *Gateway) serve(m *wanMsg) {
-	key := dedupKey{src: m.src, seq: m.seq}
-	if ent, ok := g.dedup[key]; ok {
+	w := g.dedup[m.src]
+	if w == nil {
+		w = &dedupWindow{ents: map[uint64]*dedupEntry{}}
+		g.dedup[m.src] = w
+	}
+	if m.acked > w.floor {
+		w.floor = m.acked
+		for seq := range w.ents {
+			if seq < w.floor {
+				delete(w.ents, seq)
+			}
+		}
+	}
+	if ent, ok := w.ents[m.seq]; ok {
 		if ent.done {
 			// Lost reply: replay the cached one, charge the wire again.
 			g.reply(m.src, m.seq, ent.reply, ent.bytes)
@@ -336,7 +370,7 @@ func (g *Gateway) serve(m *wanMsg) {
 		return // in progress: the running handler will reply
 	}
 	ent := &dedupEntry{}
-	g.remember(key, ent)
+	w.ents[m.seq] = ent
 	fn := g.calls[m.handler]
 	if fn == nil {
 		ent.done = true
@@ -354,14 +388,4 @@ func (g *Gateway) reply(dst int, seq uint64, payload any, bytes int) {
 	g.fed.fabric.send(g.cluster, dst, g.eng, g.m, &wanMsg{
 		kind: mReply, src: g.cluster, seq: seq, bytes: bytes + wanHdrBytes, payload: payload,
 	})
-}
-
-func (g *Gateway) remember(key dedupKey, ent *dedupEntry) {
-	if len(g.dedupQ) >= maxDedup {
-		drop := g.dedupQ[0]
-		g.dedupQ = g.dedupQ[1:]
-		delete(g.dedup, drop)
-	}
-	g.dedup[key] = ent
-	g.dedupQ = append(g.dedupQ, key)
 }

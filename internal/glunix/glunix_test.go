@@ -345,7 +345,11 @@ func TestRunMixedSmall(t *testing.T) {
 	cfg := testConfig(8)
 	cfg.HeartbeatInterval = 30 * sim.Second
 	e := sim.NewEngine(1)
-	res, err := RunMixed(e, cfg, activity, jobs, 24*sim.Hour)
+	c, err := New(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunMixed(activity, jobs, 24*sim.Hour)
 	e.Close()
 	if err != nil {
 		t.Fatal(err)

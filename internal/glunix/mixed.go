@@ -22,29 +22,16 @@ type MixedResult struct {
 	Master    MasterStats
 }
 
-// RunMixed overlays the parallel job log on a GLUnix cluster whose
+// RunMixed overlays the parallel job log on the cluster, whose
 // workstations receive the interactive activity trace, simulating until
 // horizon (which must cover the trace). Jobs larger than the cluster are
-// skipped (counted in JobsTotal but never completed).
-func RunMixed(e *sim.Engine, cfg Config, activity *trace.ActivityTrace,
-	jobs []trace.ParallelJob, horizon sim.Time) (MixedResult, error) {
-	return RunMixedWith(e, cfg, activity, jobs, horizon, nil)
-}
+// skipped (counted in JobsTotal but never completed). Anything else
+// sharing the engine — a fault injector, extra workloads — is attached
+// before the call.
+func (c *Cluster) RunMixed(activity *trace.ActivityTrace, jobs []trace.ParallelJob,
+	horizon sim.Time) (MixedResult, error) {
 
-// RunMixedWith is RunMixed with a wiring hook: wire (when non-nil) runs
-// after the cluster is built but before the simulation starts, so a
-// caller can attach extra machinery — a fault injector, additional
-// workloads on the same engine — to the live cluster.
-func RunMixedWith(e *sim.Engine, cfg Config, activity *trace.ActivityTrace,
-	jobs []trace.ParallelJob, horizon sim.Time, wire func(*Cluster)) (MixedResult, error) {
-
-	c, err := New(e, cfg)
-	if err != nil {
-		return MixedResult{}, err
-	}
-	if wire != nil {
-		wire(c)
-	}
+	e, cfg := c.Eng, c.Cfg
 	// Feed user activity into the daemons.
 	if activity != nil {
 		for _, ev := range activity.Events {

@@ -61,10 +61,6 @@ func (m *Memory) Touch(page PageID, write bool) (fault bool, victim PageID, vict
 	return true, vk, vd, ev
 }
 
-// Resident reports whether page currently occupies a frame (without
-// touching recency).
-func (m *Memory) IsResident(page PageID) bool { return m.frames.Contains(page) }
-
 // Evict removes page, reporting whether it was resident and dirty.
 func (m *Memory) Evict(page PageID) (wasResident, wasDirty bool) {
 	d, ok := m.frames.Remove(page)

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/nowproject/now/internal/controlplane"
 	"github.com/nowproject/now/internal/experiments"
 	"github.com/nowproject/now/internal/faults"
 	"github.com/nowproject/now/internal/federation"
@@ -16,6 +15,7 @@ import (
 	"github.com/nowproject/now/internal/netsim"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
+	"github.com/nowproject/now/internal/stack"
 	"github.com/nowproject/now/internal/trace"
 	"github.com/nowproject/now/internal/xfs"
 )
@@ -235,37 +235,6 @@ func runClassic(s *Scenario) (*Result, error) {
 	sm := newScenarioMetrics(reg)
 	horizon := sim.Time(s.Horizon)
 
-	// Storage fleet. Its fabric's net.* metrics go to the shared
-	// registry only when no cluster will claim those names.
-	var sys *xfs.System
-	blockBytes := 0
-	if x := s.Fleet.XFS; x != nil {
-		xcfg := xfs.DefaultConfig(x.Nodes)
-		if x.Pipelined {
-			xcfg = xfs.PipelinedConfig(x.Nodes)
-		}
-		xcfg.SpareNodes = x.Spares
-		if x.Managers > 0 {
-			xcfg.Managers = x.Managers
-		}
-		if x.CacheBlocks > 0 {
-			xcfg.ClientCacheBlocks = x.CacheBlocks
-		}
-		if x.BlockBytes > 0 {
-			xcfg.BlockBytes = x.BlockBytes
-		}
-		var err error
-		sys, err = xfs.New(e, xcfg)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		sys.Instrument(reg)
-		if s.Fleet.WS == 0 {
-			sys.Fabric().Instrument(reg)
-		}
-		blockBytes = xcfg.BlockBytes
-	}
-
 	// Assemble the full fault plan up front: explicit fault events plus
 	// referenced plan files, offset to their event time.
 	var faultList []faults.Fault
@@ -288,14 +257,53 @@ func runClassic(s *Scenario) (*Result, error) {
 			}
 		}
 	}
-	plan := faults.Scripted(s.Name, faultList...)
-	res.FaultsTot = len(plan.Faults)
+	spec := stack.Spec{Plan: faults.Scripted(s.Name, faultList...)}
+	res.FaultsTot = len(spec.Plan.Faults)
 
-	// Workload scheduling shared by both fleet shapes. The op mix and
-	// load curve only need the engine; the cluster-side events
-	// (flash crowds, the injector's cluster target) attach in wire once
-	// the cluster exists.
-	mix := newOpMix(s, e, sys, blockBytes, sm)
+	// Control verbs route through the control plane; it (and the
+	// remediator, for `remediate`) is built only when the script asks,
+	// so operator-free scenarios register no cp.* metrics.
+	for _, ev := range s.Events {
+		switch ev.Kind {
+		case EvCordon, EvUncordon, EvDrain:
+			spec.Control = true
+		case EvRemediate:
+			spec.Control, spec.Remediate = true, true
+		}
+	}
+
+	blockBytes := 0
+	if x := s.Fleet.XFS; x != nil {
+		xcfg := xfs.DefaultConfig(x.Nodes)
+		if x.Pipelined {
+			xcfg = xfs.PipelinedConfig(x.Nodes)
+		}
+		xcfg.SpareNodes = x.Spares
+		if x.Managers > 0 {
+			xcfg.Managers = x.Managers
+		}
+		if x.CacheBlocks > 0 {
+			xcfg.ClientCacheBlocks = x.CacheBlocks
+		}
+		if x.BlockBytes > 0 {
+			xcfg.BlockBytes = x.BlockBytes
+		}
+		spec.XFS = &xcfg
+		blockBytes = xcfg.BlockBytes
+	}
+	if s.Fleet.WS > 0 {
+		gcfg := glunixConfig(s)
+		spec.GLUnix = &gcfg
+	}
+	st, err := stack.Build(e, reg, spec)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+
+	// Workload scheduling. The op mix and load curve only need the
+	// engine; flash crowds, diurnal curves and operator verbs act on
+	// the cluster.
+	mix := newOpMix(s, e, st.XFS, blockBytes, sm)
 	for _, ev := range s.Events {
 		ev := ev
 		switch ev.Kind {
@@ -303,157 +311,83 @@ func runClassic(s *Scenario) (*Result, error) {
 			e.At(ev.At, func() { sm.events.Inc(); mix.start(ev) })
 		case EvLoad:
 			e.At(ev.At, func() { sm.events.Inc(); mix.setLoad(ev.Load) })
-		}
-	}
-
-	// Control verbs route through the control plane; it (and the
-	// remediator, for `remediate`) is built only when the script asks,
-	// so operator-free scenarios register no cp.* metrics.
-	hasControl, hasRemediate := false, false
-	for _, ev := range s.Events {
-		switch ev.Kind {
-		case EvCordon, EvUncordon, EvDrain:
-			hasControl = true
+		case EvFlashCrowd:
+			e.At(ev.At, func() { sm.events.Inc(); flashCrowd(st.Cluster, ev) })
+		case EvDiurnal:
+			e.At(ev.At, func() { sm.events.Inc() })
+			scheduleDiurnal(s, e, st.Cluster, ev, horizon)
+		case EvCordon:
+			e.At(ev.At, func() { sm.events.Inc(); st.CP.Cordon(ev.Node) }) //nolint:errcheck // validated against the fleet
+		case EvUncordon:
+			e.At(ev.At, func() { sm.events.Inc(); st.CP.Uncordon(ev.Node) }) //nolint:errcheck
+		case EvDrain:
+			e.At(ev.At, func() { sm.events.Inc(); st.CP.DrainAsync(ev.Node) }) //nolint:errcheck
 		case EvRemediate:
-			hasControl, hasRemediate = true, true
+			e.At(ev.At, func() { sm.events.Inc(); st.Remediator.SetEnabled(ev.On) })
 		}
 	}
+	scheduleChecks(s, e, reg, sm, res)
 
-	var inj *faults.Injector
-	var cluster *glunix.Cluster
-	wire := func(c *glunix.Cluster) {
-		cluster = c
-		// One XFSTarget shared by the plan injector and the control
-		// plane, so live rebuilds and plan rebuilds draw the same spare
-		// pool.
-		var tgt *faults.XFSTarget
-		var tgts []faults.Target
-		if c != nil {
-			tgts = append(tgts, faults.ClusterTarget{C: c})
-		}
-		if sys != nil {
-			tgt = faults.NewXFSTarget(sys)
-			tgts = append(tgts, tgt)
-		}
-		if len(plan.Faults) > 0 || hasControl {
-			inj = faults.NewInjector(e, faults.Combine(tgts...), plan, reg)
-			inj.Schedule()
-		}
-		if c == nil {
-			return
-		}
-		for _, ev := range s.Events {
-			ev := ev
-			switch ev.Kind {
-			case EvFlashCrowd:
-				e.At(ev.At, func() { sm.events.Inc(); flashCrowd(c, ev) })
-			case EvDiurnal:
-				e.At(ev.At, func() { sm.events.Inc() })
-				scheduleDiurnal(s, e, c, ev, horizon)
-			}
-		}
-		if !hasControl {
-			return
-		}
-		cp, err := controlplane.New(controlplane.Config{
-			Engine:    e,
-			Cluster:   c,
-			XFS:       sys,
-			XFSTarget: tgt,
-			Injector:  inj,
-			Registry:  reg,
-		})
-		if err != nil {
-			e.Fail(err)
-			return
-		}
-		var rem *controlplane.Remediator
-		if hasRemediate {
-			rem = controlplane.NewRemediator(cp, controlplane.DefaultRemediationPolicy())
-			rem.Start() // disabled until a `remediate on` event flips it
-		}
-		for _, ev := range s.Events {
-			ev := ev
-			switch ev.Kind {
-			case EvCordon:
-				e.At(ev.At, func() { sm.events.Inc(); cp.Cordon(ev.Node) }) //nolint:errcheck // validated against the fleet
-			case EvUncordon:
-				e.At(ev.At, func() { sm.events.Inc(); cp.Uncordon(ev.Node) }) //nolint:errcheck
-			case EvDrain:
-				e.At(ev.At, func() { sm.events.Inc(); cp.DrainAsync(ev.Node) }) //nolint:errcheck
-			case EvRemediate:
-				e.At(ev.At, func() { sm.events.Inc(); rem.SetEnabled(ev.On) })
-			}
-		}
-	}
-
-	// The cluster side reuses the mixed-workload harness; a pure-storage
-	// scenario runs the engine directly.
-	if s.Fleet.WS > 0 {
-		gcfg := glunix.DefaultConfig(s.Fleet.WS)
-		gcfg.Seed = s.Seed
-		gcfg.Obs = reg
-		switch s.Fleet.Policy {
-		case "restart":
-			gcfg.Policy = glunix.RestartOnReturn
-		case "ignore":
-			gcfg.Policy = glunix.IgnoreUser
-		}
-		if s.Fleet.Heartbeat > 0 {
-			gcfg.HeartbeatInterval = s.Fleet.Heartbeat
-		}
-		switch s.Fleet.FabricName {
-		case "ethernet10":
-			gcfg.Fabric = netsim.Ethernet10
-		case "fddi100":
-			gcfg.Fabric = netsim.FDDI100
-		case "myrinet":
-			gcfg.Fabric = netsim.Myrinet
-		}
-		if topoName := s.Fleet.Topo; topoName != "" {
-			// Problems() already validated the name and ruled out shared
-			// presets; "crossbar" resolves to a nil Topology, leaving the
-			// config bit-identical to the flat default.
-			base := gcfg.Fabric
-			gcfg.Fabric = func(nodes int) netsim.Config {
-				c := base(nodes)
-				c.Topo, _ = netsim.TopoByName(topoName, nodes)
-				return c
-			}
-		}
-		jobs := expandJobs(s, horizon)
-		res.JobsTotal = len(jobs)
-		scheduleChecks(s, e, reg, sm, res)
-		mres, err := glunix.RunMixedWith(e, gcfg, nil, jobs, horizon, wire)
+	if st.Cluster != nil {
+		mres, err := st.Cluster.RunMixed(nil, expandJobs(s, horizon), horizon)
 		if err != nil && !errors.Is(err, sim.ErrStopped) {
 			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		res.JobsCompleted = mres.JobsCompleted
 		res.JobsTotal = mres.JobsTotal
 		res.MeanResponse = mres.MeanResponse
-	} else {
-		scheduleChecks(s, e, reg, sm, res)
-		wire(nil)
-		if err := e.RunUntil(horizon); err != nil && !errors.Is(err, sim.ErrStopped) {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
+		cst := st.Cluster.Fab.Stats()
+		res.ClusterNet = &cst
+	} else if err := e.RunUntil(horizon); err != nil && !errors.Is(err, sim.ErrStopped) {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 
-	if inj != nil {
-		res.FaultsApplied = inj.Applied()
+	if st.Injector != nil {
+		res.FaultsApplied = st.Injector.Applied()
 	}
 	res.Ops, res.MetaOps, res.DataOps, res.OpErrors = mix.tallies()
-	if cluster != nil {
-		st := cluster.Fab.Stats()
-		res.ClusterNet = &st
-	}
-	if sys != nil {
-		st := sys.Fabric().Stats()
-		res.XFSNet = &st
+	if st.XFS != nil {
+		xst := st.XFS.Fabric().Stats()
+		res.XFSNet = &xst
 	}
 	evalEndChecks(s, reg, sm, res)
 	sortChecks(res)
 	return res, nil
+}
+
+// glunixConfig maps a scenario's ws fleet onto a GLUnix config.
+func glunixConfig(s *Scenario) glunix.Config {
+	gcfg := glunix.DefaultConfig(s.Fleet.WS)
+	gcfg.Seed = s.Seed
+	switch s.Fleet.Policy {
+	case "restart":
+		gcfg.Policy = glunix.RestartOnReturn
+	case "ignore":
+		gcfg.Policy = glunix.IgnoreUser
+	}
+	if s.Fleet.Heartbeat > 0 {
+		gcfg.HeartbeatInterval = s.Fleet.Heartbeat
+	}
+	switch s.Fleet.FabricName {
+	case "ethernet10":
+		gcfg.Fabric = netsim.Ethernet10
+	case "fddi100":
+		gcfg.Fabric = netsim.FDDI100
+	case "myrinet":
+		gcfg.Fabric = netsim.Myrinet
+	}
+	if topoName := s.Fleet.Topo; topoName != "" {
+		// Problems() already validated the name and ruled out shared
+		// presets; "crossbar" resolves to a nil Topology, leaving the
+		// config bit-identical to the flat default.
+		base := gcfg.Fabric
+		gcfg.Fabric = func(nodes int) netsim.Config {
+			c := base(nodes)
+			c.Topo, _ = netsim.TopoByName(topoName, nodes)
+			return c
+		}
+	}
+	return gcfg
 }
 
 // runSharded executes a sharded fleet through the partitioned cluster

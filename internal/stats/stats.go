@@ -137,48 +137,6 @@ func (s *Sample) FractionBelow(limit float64) float64 {
 	return float64(n) / float64(len(s.vals))
 }
 
-// Histogram counts observations into fixed-width buckets over [lo, hi);
-// out-of-range values land in the first/last bucket.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int64
-	n       int64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx]++
-	h.n++
-}
-
-// Counts returns a copy of the per-bucket counts.
-func (h *Histogram) Counts() []int64 {
-	out := make([]int64, len(h.buckets))
-	copy(out, h.buckets)
-	return out
-}
-
-// N returns the total number of observations.
-func (h *Histogram) N() int64 { return h.n }
-
 // Ratio returns a/b, or 0 when b is 0 — a guard for rate computations in
 // experiment reports.
 func Ratio(a, b float64) float64 {

@@ -88,22 +88,6 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	h.Add(-5)  // clamps to first
-	h.Add(500) // clamps to last
-	counts := h.Counts()
-	if counts[0] != 11 || counts[9] != 11 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if h.N() != 102 {
-		t.Fatalf("N = %d", h.N())
-	}
-}
-
 func TestRatioGuardsZero(t *testing.T) {
 	if Ratio(10, 0) != 0 {
 		t.Fatal("Ratio(_, 0) should be 0")

@@ -4,6 +4,8 @@
 package now
 
 import (
+	"fmt"
+
 	"github.com/nowproject/now/internal/controlplane"
 	"github.com/nowproject/now/internal/faults"
 	"github.com/nowproject/now/internal/gator"
@@ -11,7 +13,10 @@ import (
 	"github.com/nowproject/now/internal/netram"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/scenario"
+	"github.com/nowproject/now/internal/sim"
+	"github.com/nowproject/now/internal/stack"
 	"github.com/nowproject/now/internal/trace"
+	"github.com/nowproject/now/internal/xfs"
 )
 
 // ---- the global layer ----
@@ -152,14 +157,9 @@ type (
 	ParallelJob   = trace.ParallelJob
 )
 
-// GLUnixMixedResult reports a mixed interactive-plus-parallel run.
+// GLUnixMixedResult reports a mixed interactive-plus-parallel run
+// ((*GLUnix).RunMixed).
 type GLUnixMixedResult = glunix.MixedResult
-
-// RunGLUnixMixed overlays a parallel-job log on a cluster receiving an
-// interactive activity trace. The wire hook (when non-nil) runs on the
-// built cluster before the simulation starts — the place to attach a
-// fault injector or extra workloads.
-var RunGLUnixMixed = glunix.RunMixedWith
 
 // ---- control plane (operate the cluster) ----
 
@@ -176,8 +176,7 @@ type (
 	ControlPlaneServer       = controlplane.Server
 	ControlPlaneServerConfig = controlplane.ServerConfig
 	ControlPlaneClient       = controlplane.Client
-	ControlPlaneStack        = controlplane.Stack
-	ControlPlaneStackConfig  = controlplane.StackConfig
+	ControlPlaneStack        = stack.Stack
 	Remediator               = controlplane.Remediator
 	RemediationPolicy        = controlplane.RemediationPolicy
 	WorkstationStatus        = controlplane.NodeStatus
@@ -189,10 +188,65 @@ type (
 var (
 	NewControlPlane          = controlplane.New
 	NewControlPlaneServer    = controlplane.NewServer
-	NewControlPlaneStack     = controlplane.NewStack
 	NewRemediator            = controlplane.NewRemediator
 	DefaultRemediationPolicy = controlplane.DefaultRemediationPolicy
 )
+
+// ControlPlaneStackConfig shapes the servable NOW that `nowsim serve`
+// runs: a GLUnix cluster, an optional xFS installation, the control
+// plane over both and a remediator.
+type ControlPlaneStackConfig struct {
+	Seed         int64
+	Workstations int
+	// XFSNodes > 0 adds a storage fleet with Spares hot spares and
+	// Managers metadata managers.
+	XFSNodes int
+	Spares   int
+	Managers int
+	// JobEvery > 0 trickles background parallel jobs (2 wide, 20s of
+	// work each) into the cluster so a served simulation has pulse.
+	JobEvery Duration
+	// RemediateOn arms self-healing from t=0.
+	RemediateOn bool
+}
+
+// NewControlPlaneStack builds the servable stack on a fresh engine.
+// Nothing has run yet: drive it with Engine.RunUntil or wrap it in a
+// ControlPlaneServer. Close the Engine when done.
+func NewControlPlaneStack(cfg ControlPlaneStackConfig) (*ControlPlaneStack, error) {
+	if cfg.Workstations < 2 {
+		return nil, fmt.Errorf("now: a served stack needs ≥2 workstations, have %d", cfg.Workstations)
+	}
+	e := sim.NewEngine(cfg.Seed)
+	reg := obs.NewRegistry()
+	e.Observe(reg)
+	gcfg := glunix.DefaultConfig(cfg.Workstations)
+	gcfg.Seed = cfg.Seed
+	spec := stack.Spec{GLUnix: &gcfg, Control: true, Remediate: true}
+	if cfg.XFSNodes > 0 {
+		xcfg := xfs.DefaultConfig(cfg.XFSNodes)
+		xcfg.SpareNodes = cfg.Spares
+		if cfg.Managers > 0 {
+			xcfg.Managers = cfg.Managers
+		}
+		spec.XFS = &xcfg
+	}
+	st, err := stack.Build(e, reg, spec)
+	if err != nil {
+		e.Close()
+		return nil, err
+	}
+	st.Remediator.SetEnabled(cfg.RemediateOn)
+	if cfg.JobEvery > 0 {
+		e.Spawn("controlplane/job-trickle", func(p *Proc) {
+			for id := 0; ; id++ {
+				st.Cluster.Master.Submit(glunix.NewJob(id, 2, 20*Second, 0))
+				p.Sleep(cfg.JobEvery)
+			}
+		})
+	}
+	return st, nil
+}
 
 // ---- network RAM multigrid workload ----
 

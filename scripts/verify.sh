@@ -20,6 +20,8 @@ echo "== go test -race ./internal/faults/..."
 go test -race -count=1 ./internal/faults/...
 echo "== go test -race ./internal/controlplane/... (serve drive loop + HTTP round trip)"
 go test -race -count=1 ./internal/controlplane/...
+echo "== go test -race ./internal/stack/... (one stack builder: shared fault pipeline, net.* owner)"
+go test -race -count=1 ./internal/stack/...
 echo "== go test -race ./internal/netsim/... ./internal/proto/... (incl. cross-shard handoff)"
 go test -race -count=1 ./internal/netsim/... ./internal/proto/...
 echo "== go test -race sharded experiments stack (engine+fabric+collectives end to end)"
@@ -37,9 +39,9 @@ go test -count=1 -run 'TestDeterminismGolden32|TestDeterminismGolden128' ./inter
 go test -count=1 -run 'TestScaleStudyGoldenDeterminism' ./cmd/nowbench/ >/dev/null
 echo "== xFS pipelined data path golden determinism (ST2 byte-identical)"
 go test -count=1 -run 'TestSeqScanGoldenDeterminism' ./cmd/nowbench/ >/dev/null
-echo "== self-healing golden determinism (AV2 byte-identical, remediation on beats off)"
+echo "== availability goldens (AV1 + AV2 match testdata byte for byte, remediation on beats off)"
 go test -count=1 -run 'TestRemediationGoldenDeterminism' ./cmd/nowbench/ >/dev/null
-go test -count=1 -run 'TestRemediationStudyImproves' ./internal/experiments/ >/dev/null
+go test -count=1 -run 'TestFaultStudyGolden|TestRemediationStudyImproves' ./internal/experiments/ >/dev/null
 echo "== topology study golden determinism (SC3 byte-identical, fabric conservation under loss)"
 go test -count=1 -run 'TestTopologyStudyGoldenDeterminism' ./cmd/nowbench/ >/dev/null
 go test -count=1 -run 'TestTopologyLatencyAndContention|TestShardedLossInvariant' ./internal/netsim/ >/dev/null
@@ -61,8 +63,10 @@ go test -count=1 -run 'TestScenarioRunGoldenDeterminism|TestScenarioShardedWorke
 go test -count=1 -run 'TestParsePrintIdentity|TestRunDeterminism|TestFederatedValidation|TestRunFederated' ./internal/scenario/ >/dev/null
 echo "== go test -race ./internal/federation/... (WAN gateways + lease recalls + spill under churn)"
 go test -race -count=1 ./internal/federation/...
-echo "== wide-area golden determinism (WA1 byte-identical, crossover pinned to the closed form)"
+echo "== wide-area golden determinism (WA1 byte-identical, crossover pinned to the closed form, WAN at-most-once)"
 go test -count=1 -run 'TestWideAreaGoldenDeterminism' ./cmd/nowbench/ >/dev/null
 go test -count=1 -run 'TestWideAreaCrossover|TestWideAreaDeterminism' ./internal/experiments/ >/dev/null
-go test -count=1 -run 'TestFederatedDeterminismAcrossWorkers' ./internal/federation/ >/dev/null
+go test -count=1 -run 'TestFederatedDeterminismAcrossWorkers|TestWANAtMostOnceOutlivesLaterCalls' ./internal/federation/ >/dev/null
+echo "== benchmark module (bench/ drives the simulator through the now facade only)"
+(cd bench && go vet ./... && go test -count=1 ./... >/dev/null)
 echo "verify: all checks passed"
