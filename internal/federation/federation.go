@@ -84,9 +84,6 @@ func (c *Cluster) ID() int { return c.id }
 // post-Run inspection only, plus code already running on it.
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
-// Registry returns the cluster's metrics registry.
-func (c *Cluster) Registry() *obs.Registry { return c.reg }
-
 // Gateway returns the cluster's WAN endpoint.
 func (c *Cluster) Gateway() *Gateway { return c.gw }
 
@@ -226,10 +223,6 @@ func (f *Federation) ClusterByName(name string) *Cluster {
 	}
 	return nil
 }
-
-// Sharded returns the underlying engine, for wiring extra workload
-// before Run.
-func (f *Federation) Sharded() *sim.ShardedEngine { return f.se }
 
 // WAN returns the wide-area fabric.
 func (f *Federation) WAN() *WANFabric { return f.fabric }

@@ -369,19 +369,23 @@ func TestWANAsymmetricLinks(t *testing.T) {
 }
 
 // TestWANAtMostOnceOutlivesLaterCalls: a call whose handler outlasts
-// the caller's timeout is retried while more than 4,096 later calls
-// from the same caller come and go. The retry must still find the
-// call's dedup entry and leave the handler at one execution; once the
-// slow call settles, the next call's watermark lets the callee drop
-// every settled entry.
+// several of the caller's timeouts is retried while more than 4,096
+// later calls from the same caller come and go. The retries must still
+// find the call in the callee's window and leave the handler at one
+// execution; once the slow call settles, the next call's watermark
+// lets the callee drop every settled entry.
+//
+// The link derives a ~1.4 ms first timeout (2×RTT + serialization +
+// 1 ms grace), doubling per attempt: attempts expire at ~1.4, 4.2,
+// 9.8, 21, 43, 88 and 178 ms, so the 150 ms handler's reply lands in
+// the seventh of the eight attempts.
 func TestWANAtMostOnceOutlivesLaterCalls(t *testing.T) {
 	f, err := New(Config{
 		Clusters: []ClusterConfig{{Name: "a"}, {Name: "b"}},
 		WAN: WANConfig{
 			Latency:       100 * sim.Microsecond,
 			BandwidthMbps: 1000,
-			CallTimeout:   100 * sim.Millisecond,
-			CallRetries:   3,
+			CallRetries:   8,
 		},
 		Seed: 1,
 	})
@@ -409,7 +413,7 @@ func TestWANAtMostOnceOutlivesLaterCalls(t *testing.T) {
 	}
 	var slowRep any
 	a.Engine().Spawn("slow", func(p *sim.Proc) { slowRep = call(p, hSlow) })
-	const procs, perProc = 20, 256 // 5,120 calls settle before the retry
+	const procs, perProc = 20, 256 // 5,120 calls settle before the last retry
 	for i := 0; i < procs; i++ {
 		a.Engine().Spawn(fmt.Sprintf("fast%d", i), func(p *sim.Proc) {
 			for n := 0; n < perProc; n++ {
@@ -430,7 +434,73 @@ func TestWANAtMostOnceOutlivesLaterCalls(t *testing.T) {
 	if slowRuns != 1 || slowRep != "slow" {
 		t.Fatalf("slow handler ran %d times, reply %v; want once, \"slow\"", slowRuns, slowRep)
 	}
-	if n := len(b.dedup[0].ents); n > 1 {
+	if n := b.callee.Window(0); n > 1 {
 		t.Fatalf("callee still caches %d entries after every call settled", n)
+	}
+}
+
+// TestWANExactlyOnceUnderLossProperty: across loss rates and seeds,
+// with a retry budget deep enough that no call gives up, every WAN
+// call succeeds, its handler runs exactly once, and the reply matches
+// — AM's TestExactlyOnceUnderLossProperty over the gateways.
+func TestWANExactlyOnceUnderLossProperty(t *testing.T) {
+	for _, loss := range []float64{0.05, 0.2} {
+		for seed := int64(1); seed <= 4; seed++ {
+			f, err := New(Config{
+				Clusters: []ClusterConfig{{Name: "a"}, {Name: "b"}},
+				WAN: WANConfig{
+					Latency:       sim.Millisecond,
+					BandwidthMbps: 45,
+					LossProb:      loss,
+					CallRetries:   16,
+				},
+				Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const hEcho = 0xf2
+			executions := map[int]int{}
+			f.Cluster(1).Gateway().HandleCall(hEcho, func(p *sim.Proc, from int, arg any) (any, int) {
+				executions[arg.(int)]++
+				return arg.(int) * 3, 8
+			})
+			a := f.Cluster(0)
+			const procs, perProc = 4, 40
+			ok, done := 0, 0
+			for i := 0; i < procs; i++ {
+				i := i
+				a.Engine().Spawn(fmt.Sprintf("caller%d", i), func(p *sim.Proc) {
+					for n := 0; n < perProc; n++ {
+						arg := i*perProc + n
+						rep, err := a.Gateway().Call(p, 1, hEcho, arg, 16, 8)
+						if err == nil && rep == arg*3 {
+							ok++
+						} else {
+							t.Errorf("loss=%.2f seed=%d call %d: reply %v, %v", loss, seed, arg, rep, err)
+						}
+					}
+					if done++; done == procs {
+						a.Engine().Stop()
+					}
+				})
+			}
+			if err := f.Run(sim.Time(600 * sim.Second)); !errors.Is(err, sim.ErrStopped) {
+				t.Fatalf("loss=%.2f seed=%d: run ended with %v before every call returned", loss, seed, err)
+			}
+			f.Close()
+			if ok != procs*perProc || len(executions) != procs*perProc {
+				t.Fatalf("loss=%.2f seed=%d: %d/%d calls succeeded, %d distinct executions",
+					loss, seed, ok, procs*perProc, len(executions))
+			}
+			for arg, n := range executions {
+				if n != 1 {
+					t.Fatalf("loss=%.2f seed=%d: call %d executed %d times", loss, seed, arg, n)
+				}
+			}
+			if r, _ := f.Registry(0).CounterValue("wan.call.retries"); r == 0 {
+				t.Fatalf("loss=%.2f seed=%d: no retries under loss: the test exercises nothing", loss, seed)
+			}
+		}
 	}
 }

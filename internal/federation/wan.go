@@ -18,18 +18,17 @@
 //     arithmetic plus a cross-shard send — callable from any event or
 //     process on the cluster's engine, no blocking.
 //   - Call: blocking RPC with per-attempt timeout, doubling backoff and
-//     at-most-once execution (dest-side dedup cache replays the cached
-//     reply instead of re-running the handler; every call carries the
-//     caller's acked watermark, which is what prunes that cache, as
-//     with Active Messages' ackedBelow). Handlers run in a
-//     spawned process on the destination engine, so they may themselves
-//     block on local xfs reads or further WAN calls.
+//     at-most-once execution kept by Active Messages' own ledger
+//     (am.Caller, am.Callee), whose FIFO precondition each pipe meets.
+//     Handlers run in a spawned process on the destination engine, so
+//     they may block on local xfs reads or further WAN calls.
 package federation
 
 import (
 	"fmt"
 
 	"github.com/nowproject/now/internal/obs"
+	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/sim"
 )
 
@@ -48,11 +47,9 @@ type WANConfig struct {
 	Latency       sim.Duration
 	BandwidthMbps float64
 	LossProb      float64
-	// CallTimeout is the base per-attempt RPC timeout. Zero derives
-	// 2×RTT + both directions' serialization + 1ms grace per link;
-	// each retry doubles it.
-	CallTimeout sim.Duration
-	// CallRetries caps RPC attempts (default 4).
+	// CallRetries caps RPC attempts (default 4). Each attempt waits
+	// 2×RTT + both directions' serialization + 1ms grace, doubled per
+	// retry.
 	CallRetries int
 	Links       map[[2]int]Link
 }
@@ -120,16 +117,13 @@ func (f *WANFabric) RTT(src, dst int) sim.Duration {
 // the payload transfers with the send: the source never touches it
 // again.
 type wanMsg struct {
-	kind    uint8 // mCast | mCall | mReply
-	handler uint8
-	src     int
-	seq     uint64
-	// acked (calls only) is the caller's watermark towards this
-	// destination: every call it made there with seq < acked is
-	// settled, so the callee may forget them.
-	acked   uint64
-	bytes   int
-	payload any
+	kind      uint8 // mCast | mCall | mReply
+	handler   uint8
+	src       int
+	seq       uint64
+	watermark uint64 // calls only: am.Caller.Watermark towards dst
+	bytes     int
+	payload   any
 }
 
 const (
@@ -190,27 +184,10 @@ type CastHandler func(from int, arg any)
 type CallHandler func(p *sim.Proc, from int, arg any) (any, int)
 
 type pendingCall struct {
-	dst      int
 	sig      *sim.Signal
 	reply    any
 	done     bool
 	timedOut bool
-}
-
-type dedupEntry struct {
-	done  bool
-	reply any
-	bytes int
-}
-
-// dedupWindow is one caller's at-most-once state at a gateway: an
-// entry per call at or above floor, the highest acked watermark the
-// caller has sent. Entries below floor are settled at the caller and
-// can never be asked for again: a pipe delivers in send order, and the
-// watermark passes a call only after its last copy was sent.
-type dedupWindow struct {
-	floor uint64
-	ents  map[uint64]*dedupEntry
 }
 
 // wanHdrBytes is the fixed framing charged on every WAN message.
@@ -225,9 +202,10 @@ type Gateway struct {
 
 	casts map[uint8]CastHandler
 	calls map[uint8]CallHandler
-	seq   uint64
-	pend  map[uint64]*pendingCall
-	dedup map[int]*dedupWindow // by calling cluster
+	// caller and callee are the gateway's halves of the at-most-once
+	// ledger, keyed by peer cluster.
+	caller am.Caller[int, *pendingCall]
+	callee am.Callee[int]
 }
 
 func newGateway(fed *Federation, cluster int, eng *sim.Engine, reg *obs.Registry) *Gateway {
@@ -238,8 +216,6 @@ func newGateway(fed *Federation, cluster int, eng *sim.Engine, reg *obs.Registry
 		m:       newWANMetrics(reg),
 		casts:   map[uint8]CastHandler{},
 		calls:   map[uint8]CallHandler{},
-		pend:    map[uint64]*pendingCall{},
-		dedup:   map[int]*dedupWindow{},
 	}
 }
 
@@ -267,19 +243,14 @@ func (g *Gateway) Cast(dst int, id uint8, arg any, bytes int) {
 // handler.
 func (g *Gateway) Call(p *sim.Proc, dst int, id uint8, arg any, bytes, repBytes int) (any, error) {
 	g.m.calls.Inc()
-	g.seq++
-	seq := g.seq
-	pc := &pendingCall{dst: dst, sig: sim.NewSignal(g.eng, "wan.call")}
-	g.pend[seq] = pc
-	defer delete(g.pend, seq)
+	pc := &pendingCall{sig: sim.NewSignal(g.eng, "wan.call")}
+	seq := g.caller.Open(dst, pc)
+	defer g.caller.Settle(seq)
 
-	timeout := g.fed.cfg.WAN.CallTimeout
-	if timeout <= 0 {
-		timeout = 2*g.fed.fabric.RTT(g.cluster, dst) +
-			g.fed.fabric.Ser(g.cluster, dst, bytes+wanHdrBytes) +
-			g.fed.fabric.Ser(dst, g.cluster, repBytes+wanHdrBytes) +
-			sim.Millisecond
-	}
+	timeout := 2*g.fed.fabric.RTT(g.cluster, dst) +
+		g.fed.fabric.Ser(g.cluster, dst, bytes+wanHdrBytes) +
+		g.fed.fabric.Ser(dst, g.cluster, repBytes+wanHdrBytes) +
+		sim.Millisecond
 	retries := g.fed.cfg.WAN.CallRetries
 	if retries <= 0 {
 		retries = 4
@@ -289,7 +260,7 @@ func (g *Gateway) Call(p *sim.Proc, dst int, id uint8, arg any, bytes, repBytes 
 			g.m.retries.Inc()
 		}
 		g.fed.fabric.send(g.cluster, dst, g.eng, g.m, &wanMsg{
-			kind: mCall, handler: id, src: g.cluster, seq: seq, acked: g.ackedBelow(dst),
+			kind: mCall, handler: id, src: g.cluster, seq: seq, watermark: g.caller.Watermark(dst),
 			bytes: bytes + wanHdrBytes, payload: arg,
 		})
 		pc.timedOut = false
@@ -324,62 +295,31 @@ func (g *Gateway) deliver(m *wanMsg) {
 		}
 	case mCall:
 		g.serve(m)
-	case mReply:
-		pc := g.pend[m.seq]
-		if pc == nil || pc.done {
-			return // duplicate or abandoned reply
-		}
-		pc.reply = m.payload
-		pc.done = true
-		pc.sig.Broadcast()
-	}
-}
-
-// ackedBelow is the watermark sent to dst: the lowest seq of a call to
-// dst still pending here. The call being sent is itself pending, so
-// the minimum always exists.
-func (g *Gateway) ackedBelow(dst int) uint64 {
-	low := g.seq
-	for seq, pc := range g.pend {
-		if pc.dst == dst && seq < low {
-			low = seq
+	case mReply: // a duplicate or abandoned reply finds no waiting call
+		if pc, ok := g.caller.Get(m.seq); ok && !pc.done {
+			pc.reply, pc.done = m.payload, true
+			pc.sig.Broadcast()
 		}
 	}
-	return low
 }
 
 func (g *Gateway) serve(m *wanMsg) {
-	w := g.dedup[m.src]
-	if w == nil {
-		w = &dedupWindow{ents: map[uint64]*dedupEntry{}}
-		g.dedup[m.src] = w
+	v, res, bytes := g.callee.Admit(m.src, m.seq, m.watermark)
+	if v == am.Replay { // lost reply: replay the cached one, charge the wire again
+		g.reply(m.src, m.seq, res, bytes)
 	}
-	if m.acked > w.floor {
-		w.floor = m.acked
-		for seq := range w.ents {
-			if seq < w.floor {
-				delete(w.ents, seq)
-			}
-		}
+	if v != am.Execute {
+		return
 	}
-	if ent, ok := w.ents[m.seq]; ok {
-		if ent.done {
-			// Lost reply: replay the cached one, charge the wire again.
-			g.reply(m.src, m.seq, ent.reply, ent.bytes)
-		}
-		return // in progress: the running handler will reply
-	}
-	ent := &dedupEntry{}
-	w.ents[m.seq] = ent
 	fn := g.calls[m.handler]
 	if fn == nil {
-		ent.done = true
+		g.callee.Finish(m.src, m.seq, nil, 0)
 		g.reply(m.src, m.seq, nil, 0)
 		return
 	}
 	g.eng.Spawn(fmt.Sprintf("wan.h%02x", m.handler), func(p *sim.Proc) {
 		res, bytes := fn(p, m.src, m.payload)
-		ent.reply, ent.bytes, ent.done = res, bytes, true
+		g.callee.Finish(m.src, m.seq, res, bytes)
 		g.reply(m.src, m.seq, res, bytes)
 	})
 }

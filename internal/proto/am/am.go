@@ -11,18 +11,24 @@
 // which doubles as the acknowledgement.
 //
 // Reliability is the paper's "message loss as an infrequent case":
-// per-destination sequence numbers, sender-side timeout and retry, and
-// receiver-side duplicate suppression with cached replies, so a retried
+// sequence numbers, sender-side timeout and retry, and receiver-side
+// duplicate suppression with cached replies, so a retried
 // non-idempotent request is answered from the cache instead of
-// re-executed. Receive buffering is finite; arrivals beyond the buffer
-// are dropped and recovered by retry — the exact failure mode that makes
-// the Column benchmark collapse without coscheduling (Figure 4).
+// re-executed. The bookkeeping is the at-most-once ledger (Caller and
+// Callee), which the federation's WAN gateways share; each transport
+// keeps its own wire, timers and retry policy. The ledger's one
+// precondition is FIFO delivery per (src, dst) pair: a watermark passes
+// a call only once it is settled, after its last copy was queued, so no
+// copy of a call below a request's watermark arrives after it.
+//
+// Receive buffering is finite; arrivals beyond the buffer are dropped
+// and recovered by retry — the exact failure mode that makes the Column
+// benchmark collapse without coscheduling (Figure 4).
 package am
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/nowproject/now/internal/netsim"
 	"github.com/nowproject/now/internal/node"
@@ -73,13 +79,6 @@ type Config struct {
 	RetryTimeout sim.Duration
 	// MaxRetries bounds retransmissions before ErrTimeout.
 	MaxRetries int
-	// CompletionTimeout bounds how long an acknowledged request may wait
-	// for its reply. Retransmission stops once the destination's
-	// transport ack arrives (the handler may legitimately take a long
-	// time — a disk read, a rebuild); if the reply still has not arrived
-	// after this deadline the destination is presumed to have crashed
-	// mid-request. Zero means 10 s of virtual time.
-	CompletionTimeout sim.Duration
 	// Window bounds outstanding asynchronous sends per destination.
 	Window int
 	// Class is the CPU scheduling class charged for protocol processing
@@ -123,6 +122,13 @@ func CM5Config() Config {
 	return cfg
 }
 
+// completionTimeout bounds how long an acknowledged request may wait
+// for its reply. Retransmission stops once the destination's transport
+// ack arrives (the handler may legitimately take a long time — a disk
+// read, a rebuild); if the reply still has not arrived after this
+// deadline the destination is presumed to have crashed mid-request.
+const completionTimeout = 10 * sim.Second
+
 type pktKind uint8
 
 const (
@@ -135,14 +141,12 @@ const (
 
 // wire is the fabric payload for an AM packet.
 type wire struct {
-	kind    pktKind
-	seq     uint64
-	handler HandlerID
-	arg     any
-	bytes   int
-	// ackedBelow lets the receiver prune its duplicate-suppression
-	// cache: the sender has seen acknowledgements for all seq < this.
-	ackedBelow uint64
+	kind      pktKind
+	seq       uint64
+	handler   HandlerID
+	arg       any
+	bytes     int
+	watermark uint64 // requests only: Caller.Watermark towards the receiver
 }
 
 type pending struct {
@@ -182,31 +186,20 @@ type Endpoint struct {
 	tx *sim.Mailbox[*netsim.Packet]
 	rq *sim.Mailbox[*netsim.Packet]
 
-	lowestUnack map[netsim.NodeID]uint64
-	pend        map[uint64]*pending // keyed by seq (seqs are endpoint-global)
+	// calls and dedup are this endpoint's halves of the at-most-once
+	// ledger: the sends it has in flight, and the requests it serves.
+	calls Caller[netsim.NodeID, *pending]
+	dedup Callee[netsim.NodeID]
 	// outstanding counts asynchronous sends only: synchronous Calls are
 	// bounded by their callers blocking, and including them in the
 	// window would deadlock a handler that Flushes while its own
 	// request's reply is pending.
 	outstanding map[netsim.NodeID]int
+	unflushed   int // sum of outstanding
 	windowSig   *sim.Signal
-
-	// seen caches processed request seqs per source with their replies,
-	// pruned by the cumulative ackedBelow the source advertises.
-	seen map[netsim.NodeID]map[uint64]cachedReply
 
 	stats    Stats
 	detached bool
-	seq      uint64
-}
-
-type cachedReply struct {
-	val   any
-	bytes int
-	// inProgress marks a request whose handler is still executing in a
-	// worker process; duplicates arriving meanwhile are dropped (the
-	// sender's retry will find the cached reply once it lands).
-	inProgress bool
 }
 
 // NewEndpoint attaches node n to the fabric with the given config and
@@ -224,9 +217,6 @@ func NewEndpoint(e *sim.Engine, n *node.Node, fab *netsim.Fabric, cfg Config) *E
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 10
 	}
-	if cfg.CompletionTimeout <= 0 {
-		cfg.CompletionTimeout = 10 * sim.Second
-	}
 	ep := &Endpoint{
 		cfg:         cfg,
 		eng:         e,
@@ -236,11 +226,8 @@ func NewEndpoint(e *sim.Engine, n *node.Node, fab *netsim.Fabric, cfg Config) *E
 		handlers:    make(map[HandlerID]Handler),
 		tx:          sim.NewMailbox[*netsim.Packet](e, fmt.Sprintf("am%d/tx", n.ID())),
 		rq:          sim.NewMailbox[*netsim.Packet](e, fmt.Sprintf("am%d/rq", n.ID())),
-		lowestUnack: make(map[netsim.NodeID]uint64),
-		pend:        make(map[uint64]*pending),
 		outstanding: make(map[netsim.NodeID]int),
 		windowSig:   sim.NewSignal(e, fmt.Sprintf("am%d/window", n.ID())),
-		seen:        make(map[netsim.NodeID]map[uint64]cachedReply),
 	}
 	fab.SetDeliveryPort(ep.id, cfg.Port, ep.deliver)
 	e.Spawn(fmt.Sprintf("am%d/txproc", n.ID()), ep.txLoop)
@@ -288,12 +275,7 @@ func (ep *Endpoint) Register(id HandlerID, h Handler) {
 func (ep *Endpoint) Detach() {
 	ep.detached = true
 	ep.fab.SetDeliveryPort(ep.id, ep.cfg.Port, nil)
-	pending := make([]*pending, 0, len(ep.pend))
-	for _, pd := range ep.pend {
-		pending = append(pending, pd)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
-	for _, pd := range pending {
+	for _, pd := range ep.calls.Unsettled() {
 		ep.complete(pd, nil, true)
 	}
 }
@@ -311,9 +293,6 @@ func (ep *Endpoint) Reattach() {
 	ep.detached = false
 	ep.fab.SetDeliveryPort(ep.id, ep.cfg.Port, ep.deliver)
 }
-
-// Detached reports whether the endpoint is currently detached.
-func (ep *Endpoint) Detached() bool { return ep.detached }
 
 // Stats returns a snapshot of counters.
 func (ep *Endpoint) Stats() Stats { return ep.stats }
@@ -354,14 +333,7 @@ func (ep *Endpoint) SendAsync(p *sim.Proc, dst netsim.NodeID, h HandlerID, arg a
 // Flush blocks until every asynchronous send to every destination has
 // been acknowledged or abandoned.
 func (ep *Endpoint) Flush(p *sim.Proc) {
-	for {
-		total := 0
-		for _, n := range ep.outstanding {
-			total += n
-		}
-		if total == 0 {
-			return
-		}
+	for ep.unflushed > 0 {
 		ep.windowSig.Wait(p)
 	}
 }
@@ -371,44 +343,36 @@ func (ep *Endpoint) Flush(p *sim.Proc) {
 func (ep *Endpoint) post(p *sim.Proc, dst netsim.NodeID, h HandlerID, arg any, payloadBytes int, async bool) *pending {
 	if ep.detached {
 		// A crashed host cannot send: fail synchronously.
-		pd := &pending{seq: 0, dst: dst, async: async, finished: true, failed: true}
-		if !async {
-			pd.done = sim.NewSignal(ep.eng, "am/dead")
-		}
 		ep.stats.Failures++
-		return pd
+		return &pending{dst: dst, async: async, finished: true, failed: true}
 	}
-	ep.chargeCPU(p, ep.cfg.SendOverhead+sim.Duration(payloadBytes)*ep.cfg.SendPerByte)
-	ep.seq++
-	seq := ep.seq
-	w := &wire{
-		kind:       kindRequest,
-		seq:        seq,
-		handler:    h,
-		arg:        arg,
-		bytes:      payloadBytes,
-		ackedBelow: ep.lowestUnack[dst],
-	}
-	pkt := &netsim.Packet{
+	ep.ChargeSend(p, payloadBytes)
+	pd := &pending{dst: dst, async: async}
+	pd.seq = ep.calls.Open(dst, pd)
+	pd.pkt = &netsim.Packet{
 		Src:     ep.id,
 		SrcPort: ep.cfg.Port,
 		Dst:     dst,
 		Port:    ep.cfg.Port,
 		Bytes:   payloadBytes + ep.cfg.HeaderBytes,
-		Payload: w,
+		Payload: &wire{
+			kind:      kindRequest,
+			seq:       pd.seq,
+			handler:   h,
+			arg:       arg,
+			bytes:     payloadBytes,
+			watermark: ep.calls.Watermark(dst),
+		},
 	}
-	pd := &pending{pkt: pkt, seq: seq, dst: dst, async: async}
-	if !async {
-		pd.done = sim.NewSignal(ep.eng, "am/call")
-	}
-	ep.pend[seq] = pd
 	if async {
 		ep.outstanding[dst]++
+		ep.unflushed++
+	} else {
+		pd.done = sim.NewSignal(ep.eng, "am/call")
 	}
-	ep.updateLowestUnack(dst)
 	ep.stats.Sent++
-	ep.tx.Put(pkt)
-	pd.timer = ep.eng.After(ep.timeoutFor(pkt), func() { ep.onTimeout(pd) })
+	ep.tx.Put(pd.pkt)
+	pd.timer = ep.eng.After(ep.timeoutFor(pd.pkt), func() { ep.onTimeout(pd) })
 	return pd
 }
 
@@ -450,14 +414,14 @@ func (ep *Endpoint) onTimeout(pd *pending) {
 // onAck switches a pending send from retransmission mode to the (much
 // longer) completion deadline.
 func (ep *Endpoint) onAck(seq uint64) {
-	pd, ok := ep.pend[seq]
+	pd, ok := ep.calls.Get(seq)
 	if !ok || pd.finished || pd.acked {
 		return
 	}
 	pd.acked = true
 	pd.retries = 0 // a live destination refreshes the retry budget
 	pd.timer.Stop()
-	pd.timer = ep.eng.After(ep.cfg.CompletionTimeout, func() { ep.onTimeout(pd) })
+	pd.timer = ep.eng.After(completionTimeout, func() { ep.onTimeout(pd) })
 }
 
 // timeoutFor sizes the retransmission timer to the message: the base
@@ -478,11 +442,11 @@ func (ep *Endpoint) complete(pd *pending, reply any, failed bool) {
 	pd.reply = reply
 	pd.failed = failed
 	pd.timer.Stop()
-	delete(ep.pend, pd.seq)
+	ep.calls.Settle(pd.seq)
 	if pd.async {
 		ep.outstanding[pd.dst]--
+		ep.unflushed--
 	}
-	ep.updateLowestUnack(pd.dst)
 	if failed {
 		ep.stats.Failures++
 	}
@@ -490,22 +454,6 @@ func (ep *Endpoint) complete(pd *pending, reply any, failed bool) {
 		pd.done.Broadcast()
 	}
 	ep.windowSig.Broadcast()
-}
-
-// updateLowestUnack recomputes the cumulative-ack horizon for dst.
-func (ep *Endpoint) updateLowestUnack(dst netsim.NodeID) {
-	low := ep.seq + 1
-	found := false
-	for _, pd := range ep.pend {
-		if pd.dst == dst && pd.seq < low {
-			low = pd.seq
-			found = true
-		}
-	}
-	if !found {
-		low = ep.seq + 1
-	}
-	ep.lowestUnack[dst] = low
 }
 
 // chargeCPU accounts protocol processing time. System endpoints (empty
@@ -560,27 +508,17 @@ func (ep *Endpoint) dispatch(p *sim.Proc) {
 			ep.fab.FreePacket(pkt)
 			continue
 		}
-		ep.chargeCPU(p, ep.cfg.RecvOverhead+sim.Duration(w.bytes)*ep.cfg.RecvPerByte)
+		ep.ChargeRecv(p, w.bytes)
 		switch w.kind {
 		case kindRequest:
 			// Transport receipt first: the sender stops retransmitting
 			// while the handler (possibly a long disk operation) runs.
-			// Acks are single-shot (a retried request generates a fresh
-			// one), so the packet comes from the fabric pool and the
-			// receiving dispatcher recycles it.
-			ack := ep.fab.NewPacket()
-			ack.Src = ep.id
-			ack.SrcPort = ep.cfg.Port
-			ack.Dst = pkt.Src
-			ack.Port = pkt.SrcPort
-			ack.Bytes = ep.cfg.HeaderBytes
-			ack.Payload = &wire{kind: kindAck, seq: w.seq}
-			ep.tx.Put(ack)
+			ep.putPooled(pkt.Src, pkt.SrcPort, &wire{kind: kindAck, seq: w.seq})
 			// Request packets are never pooled: the sender retains them
 			// for retransmission, so there is nothing to recycle here.
 			ep.handleRequest(p, pkt, w)
 		case kindReply:
-			if pd, ok := ep.pend[w.seq]; ok {
+			if pd, ok := ep.calls.Get(w.seq); ok {
 				ep.complete(pd, w.arg, false)
 			}
 			// Unknown seq: a duplicate reply for a call that already
@@ -599,54 +537,40 @@ func (ep *Endpoint) dispatch(p *sim.Proc) {
 // replies for exactly that kind of nested call).
 func (ep *Endpoint) handleRequest(p *sim.Proc, pkt *netsim.Packet, w *wire) {
 	src := pkt.Src
-	cache := ep.seen[src]
-	if cache == nil {
-		cache = make(map[uint64]cachedReply)
-		ep.seen[src] = cache
-	}
-	// Prune entries the sender has confirmed.
-	for seq := range cache {
-		if seq < w.ackedBelow {
-			delete(cache, seq)
-		}
-	}
-	if cached, dup := cache[w.seq]; dup {
+	if v, reply, bytes := ep.dedup.Admit(src, w.seq, w.watermark); v != Execute {
 		ep.stats.Duplicates++
-		if !cached.inProgress {
-			ep.sendReply(p, src, pkt.SrcPort, w.seq, cached.val, cached.bytes)
+		if v == Replay {
+			ep.sendReply(p, src, pkt.SrcPort, w.seq, reply, bytes)
 		}
 		return
 	}
-	cache[w.seq] = cachedReply{inProgress: true}
 	h := ep.handlers[w.handler]
-	seq := w.seq
-	arg := w.arg
-	bytes := w.bytes
 	srcPort := pkt.SrcPort
 	ep.eng.Spawn(fmt.Sprintf("am%d/h%d", ep.id, w.handler), func(wp *sim.Proc) {
 		var reply any
 		replyBytes := 0
 		if h != nil {
-			reply, replyBytes = h(wp, Msg{Src: src, Arg: arg, Bytes: bytes})
+			reply, replyBytes = h(wp, Msg{Src: src, Arg: w.arg, Bytes: w.bytes})
 		}
 		ep.stats.Handled++
-		ep.seen[src][seq] = cachedReply{val: reply, bytes: replyBytes}
-		ep.sendReply(wp, src, srcPort, seq, reply, replyBytes)
+		ep.dedup.Finish(src, w.seq, reply, replyBytes)
+		ep.sendReply(wp, src, srcPort, w.seq, reply, replyBytes)
 	})
 }
 
 func (ep *Endpoint) sendReply(p *sim.Proc, dst netsim.NodeID, srcPort int, seq uint64, val any, bytes int) {
-	ep.chargeCPU(p, ep.cfg.SendOverhead+sim.Duration(bytes)*ep.cfg.SendPerByte)
+	ep.ChargeSend(p, bytes)
 	ep.stats.Replies++
-	// Replies, like acks, are single-shot: a duplicate request is
-	// answered with a fresh packet from the cache, so this one can come
-	// from the pool and be recycled by the receiving dispatcher.
+	ep.putPooled(dst, srcPort, &wire{kind: kindReply, seq: seq, arg: val, bytes: bytes})
+}
+
+// putPooled queues an ack or a reply. Both are single-shot — a
+// duplicate request gets fresh ones — so the packet comes from the
+// fabric pool and the receiving dispatcher recycles it.
+func (ep *Endpoint) putPooled(dst netsim.NodeID, port int, w *wire) {
 	pkt := ep.fab.NewPacket()
-	pkt.Src = ep.id
-	pkt.SrcPort = ep.cfg.Port
-	pkt.Dst = dst
-	pkt.Port = srcPort
-	pkt.Bytes = bytes + ep.cfg.HeaderBytes
-	pkt.Payload = &wire{kind: kindReply, seq: seq, arg: val, bytes: bytes}
+	pkt.Src, pkt.SrcPort, pkt.Dst, pkt.Port = ep.id, ep.cfg.Port, dst, port
+	pkt.Bytes = w.bytes + ep.cfg.HeaderBytes
+	pkt.Payload = w
 	ep.tx.Put(pkt)
 }

@@ -122,3 +122,71 @@ func TestDetachFailsOutstandingSends(t *testing.T) {
 		t.Fatal("send from detached endpoint succeeded")
 	}
 }
+
+// TestAMAtMostOnceOutlivesLaterCalls: a call whose handler runs longer
+// than several completion deadlines is probed by retransmissions while
+// hundreds of later calls from the same caller settle. Each probe must
+// find the call still running in the callee's window and leave the
+// handler at one execution; once the slow call settles, the next
+// call's watermark lets the callee drop every settled entry.
+func TestAMAtMostOnceOutlivesLaterCalls(t *testing.T) {
+	e := sim.NewEngine(1)
+	_, eps := testNet(t, e, 2, netsim.Myrinet(2), DefaultConfig())
+	a, b := eps[0], eps[1]
+	const hSlow, hFast HandlerID = 0x70, 0x71
+	slowRuns, peak := 0, 0
+	b.Register(hSlow, func(p *sim.Proc, m Msg) (any, int) {
+		slowRuns++
+		p.Sleep(3*completionTimeout + completionTimeout/2)
+		peak = b.dedup.Window(0)
+		return "slow", 8
+	})
+	b.Register(hFast, func(p *sim.Proc, m Msg) (any, int) { return m.Arg, 8 })
+
+	var slowRep any
+	e.Spawn("slow", func(p *sim.Proc) {
+		rep, err := a.Call(p, 1, hSlow, nil, 8)
+		if err != nil {
+			t.Errorf("slow call: %v", err)
+		}
+		slowRep = rep
+	})
+	const procs, perProc = 4, 100 // 400 calls settle while the slow one runs
+	for i := 0; i < procs; i++ {
+		i := i
+		e.Spawn("fast", func(p *sim.Proc) {
+			p.Sleep(sim.Millisecond) // the slow call takes the lowest seq
+			for n := 0; n < perProc; n++ {
+				arg := i*perProc + n
+				if rep, err := a.Call(p, 1, hFast, arg, 8); err != nil || rep != arg {
+					t.Errorf("fast call %d: reply %v, %v", arg, rep, err)
+				}
+			}
+		})
+	}
+	e.Spawn("late", func(p *sim.Proc) {
+		p.Sleep(4 * completionTimeout)
+		if _, err := a.Call(p, 1, hFast, -1, 8); err != nil {
+			t.Errorf("late call: %v", err)
+		}
+		e.Stop()
+	})
+	if err := e.Run(); !errors.Is(err, sim.ErrStopped) {
+		t.Fatal(err)
+	}
+	if r := a.Stats().Retries; r < 3 {
+		t.Fatalf("slow call retransmitted %d times, want one probe per completion deadline (3)", r)
+	}
+	if d := b.Stats().Duplicates; d < 3 {
+		t.Fatalf("callee suppressed %d duplicates, want the 3 probes", d)
+	}
+	if peak <= procs*perProc {
+		t.Fatalf("callee window peaked at %d entries; the slow call did not hold the floor", peak)
+	}
+	if slowRuns != 1 || slowRep != "slow" {
+		t.Fatalf("slow handler ran %d times, reply %v; want once, \"slow\"", slowRuns, slowRep)
+	}
+	if n := b.dedup.Window(0); n > 1 {
+		t.Fatalf("callee still holds %d entries after every call settled", n)
+	}
+}

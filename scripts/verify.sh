@@ -24,6 +24,8 @@ echo "== go test -race ./internal/stack/... (one stack builder: shared fault pip
 go test -race -count=1 ./internal/stack/...
 echo "== go test -race ./internal/netsim/... ./internal/proto/... (incl. cross-shard handoff)"
 go test -race -count=1 ./internal/netsim/... ./internal/proto/...
+echo "== at-most-once ledger (AM watermark window, dedup property + fuzz seed corpus)"
+go test -count=1 -run 'TestAMAtMostOnceOutlivesLaterCalls|TestExactlyOnceUnderLossProperty|TestDedupProperty|FuzzDedup' ./internal/proto/am/ >/dev/null
 echo "== go test -race sharded experiments stack (engine+fabric+collectives end to end)"
 go test -race -count=1 -run 'TestSharded' ./internal/experiments/ >/dev/null
 echo "== netsim fabric accounting regressions (drop-before-reserve, FIFO under fault churn)"
@@ -66,7 +68,7 @@ go test -race -count=1 ./internal/federation/...
 echo "== wide-area golden determinism (WA1 byte-identical, crossover pinned to the closed form, WAN at-most-once)"
 go test -count=1 -run 'TestWideAreaGoldenDeterminism' ./cmd/nowbench/ >/dev/null
 go test -count=1 -run 'TestWideAreaCrossover|TestWideAreaDeterminism' ./internal/experiments/ >/dev/null
-go test -count=1 -run 'TestFederatedDeterminismAcrossWorkers|TestWANAtMostOnceOutlivesLaterCalls' ./internal/federation/ >/dev/null
+go test -count=1 -run 'TestFederatedDeterminismAcrossWorkers|TestWANAtMostOnceOutlivesLaterCalls|TestWANExactlyOnceUnderLossProperty' ./internal/federation/ >/dev/null
 echo "== benchmark module (bench/ drives the simulator through the now facade only)"
 (cd bench && go vet ./... && go test -count=1 ./... >/dev/null)
 echo "verify: all checks passed"
