@@ -107,10 +107,8 @@ func main() {
 	}
 	e2.Close()
 
-	// Everything above was observed; snapshot both registries and show
-	// a few of the collected metrics.
-	reg.Snapshot()
-	reg2.Snapshot()
+	// Everything above was observed; show a few of the collected
+	// metrics.
 	fmt.Println("metrics:")
 	for _, pick := range []struct {
 		r    *now.MetricsRegistry

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
 	"github.com/nowproject/now/internal/trace"
 )
@@ -447,4 +448,39 @@ func TestReadRangeZeroCountIsNoOp(t *testing.T) {
 	if sys.Stats().Reads != 0 {
 		t.Fatalf("zero-count range read counted reads: %+v", sys.Stats())
 	}
+}
+
+// TestGaugesReadStatsLive: the coop.* gauges are the Stats fields, read
+// through — with no Snapshot in between, a read mid-run, at the end and
+// after ResetStats all agree with Stats().
+func TestGaugesReadStatsLive(t *testing.T) {
+	e, sys := build(t, smallConfig(NChance))
+	reg := obs.NewRegistry()
+	sys.Instrument(reg)
+	check := func(when string) {
+		t.Helper()
+		st := sys.Stats()
+		for name, want := range map[string]int64{
+			"coop.reads": st.Reads, "coop.writes": st.Writes,
+			"coop.hits.local": st.LocalHits, "coop.hits.remote": st.RemoteHits,
+			"coop.reads.disk": st.DiskReads,
+		} {
+			if got, ok := reg.GaugeValue(name); !ok || got != want {
+				t.Errorf("%s: %s = %d, %v; Stats says %d", when, name, got, ok, want)
+			}
+		}
+	}
+	drive(t, e, func(p *sim.Proc) {
+		sys.Client(0).Read(p, blk(1, 0))
+		sys.Client(1).Read(p, blk(1, 0))
+		check("mid-run")
+		sys.Client(0).Read(p, blk(1, 0))
+		sys.Client(2).Write(p, blk(1, 1))
+	})
+	if got, _ := reg.GaugeValue("coop.reads"); got != 3 {
+		t.Fatalf("coop.reads = %d, want 3", got)
+	}
+	check("end of run")
+	sys.ResetStats()
+	check("after ResetStats")
 }

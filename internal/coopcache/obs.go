@@ -3,10 +3,11 @@ package coopcache
 import "github.com/nowproject/now/internal/obs"
 
 // Instrument attaches metrics to the system. Call once per registry,
-// after New. A nil registry is a no-op. The Stats counters are mirrored
-// into gauges at snapshot time (ResetStats at a warm-up boundary resets
-// what the mirror reads, matching the reported tables); each read's
-// service time is additionally recorded into a latency histogram.
+// after New. A nil registry is a no-op. Each Stats counter is exported
+// as a gauge that reads its field live (so ResetStats at a warm-up
+// boundary resets the gauges too, matching the reported tables); each
+// read's service time is additionally recorded into a latency
+// histogram.
 //
 // System metrics (names per docs/OBSERVABILITY.md):
 //
@@ -26,28 +27,15 @@ func (sys *System) Instrument(r *obs.Registry) {
 	sys.m = &systemMetrics{
 		readNs: r.Histogram("coop.read.latency.ns", obs.DurationBuckets),
 	}
-	mirror := []struct {
-		name string
-		get  func(*Stats) int64
-	}{
-		{"coop.reads", func(s *Stats) int64 { return s.Reads }},
-		{"coop.writes", func(s *Stats) int64 { return s.Writes }},
-		{"coop.hits.local", func(s *Stats) int64 { return s.LocalHits }},
-		{"coop.hits.remote", func(s *Stats) int64 { return s.RemoteHits }},
-		{"coop.hits.server", func(s *Stats) int64 { return s.ServerMemHits }},
-		{"coop.reads.disk", func(s *Stats) int64 { return s.DiskReads }},
-		{"coop.recirculations", func(s *Stats) int64 { return s.Recirculations }},
-		{"coop.evictions.noticed", func(s *Stats) int64 { return s.EvictionNotices }},
-	}
-	gs := make([]*obs.Gauge, len(mirror))
-	for i, m := range mirror {
-		gs[i] = r.Gauge(m.name)
-	}
-	r.OnSample(func() {
-		for i, m := range mirror {
-			gs[i].Set(m.get(&sys.st))
-		}
-	})
+	st := &sys.st
+	r.GaugeFunc("coop.reads", func() int64 { return st.Reads })
+	r.GaugeFunc("coop.writes", func() int64 { return st.Writes })
+	r.GaugeFunc("coop.hits.local", func() int64 { return st.LocalHits })
+	r.GaugeFunc("coop.hits.remote", func() int64 { return st.RemoteHits })
+	r.GaugeFunc("coop.hits.server", func() int64 { return st.ServerMemHits })
+	r.GaugeFunc("coop.reads.disk", func() int64 { return st.DiskReads })
+	r.GaugeFunc("coop.recirculations", func() int64 { return st.Recirculations })
+	r.GaugeFunc("coop.evictions.noticed", func() int64 { return st.EvictionNotices })
 }
 
 // systemMetrics holds the system's histogram handles; nil on an

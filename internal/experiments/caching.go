@@ -82,8 +82,7 @@ func Table3(cfg Table3Config) (Report, []Table3Row, error) {
 		}
 		e.Close()
 		// The table's measured values come from the registry — the same
-		// snapshot -metrics exports — not from a parallel counter path.
-		reg.Snapshot() // runs the samplers that mirror Stats into gauges
+		// values -metrics exports — not from a parallel counter path.
 		reads, _ := reg.GaugeValue("coop.reads")
 		diskReads, _ := reg.GaugeValue("coop.reads.disk")
 		missRate := 0.0

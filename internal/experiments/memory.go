@@ -95,7 +95,6 @@ func Figure2(sizesMB []int64) (Report, []Figure2Row, error) {
 		if err != nil {
 			return Report{}, nil, fmt.Errorf("figure2 netram: %w", err)
 		}
-		reg.Snapshot() // run the samplers that mirror pager stats
 		remoteHits, _ := reg.GaugeValue("netram.hits.remote")
 		row := Figure2Row{
 			ProblemMB:          szMB,

@@ -18,7 +18,7 @@ var errNoSpare = errors.New("faults: no unused hot spare left")
 // fault opens an obs span ("fault.<kind>", node = the faulted node)
 // and bumps the faults.* counters:
 //
-//	faults.injected       faults applied to the target
+//	faults.injected       faults applied to the target (reads Applied)
 //	faults.injected.kind  same, as a vector by Kind
 //	faults.skipped        faults no target handled (bad node id, ...)
 //	faults.errors         handled faults that returned an error
@@ -33,13 +33,12 @@ type Injector struct {
 	plan Plan
 	r    *obs.Registry
 
-	injected *obs.Counter
-	byKind   *obs.CounterVec
-	skipped  *obs.Counter
-	faulted  *obs.Counter
-	active   *obs.Gauge
+	byKind  *obs.CounterVec
+	skipped *obs.Counter
+	faulted *obs.Counter
+	active  *obs.Gauge
 
-	applied int // faults handled by the target (not skipped)
+	applied int // faults handled by the target (not skipped); the faults.injected ledger
 }
 
 // NewInjector builds an injector for plan against tgt. The registry
@@ -50,17 +49,18 @@ func NewInjector(e *sim.Engine, tgt Target, plan Plan, r *obs.Registry) *Injecto
 		labels[k] = k.String()
 	}
 	labels[0] = "none"
-	return &Injector{
-		eng:      e,
-		tgt:      tgt,
-		plan:     plan,
-		r:        r,
-		injected: r.Counter("faults.injected"),
-		byKind:   r.CounterVec("faults.injected.kind", labels),
-		skipped:  r.Counter("faults.skipped"),
-		faulted:  r.Counter("faults.errors"),
-		active:   r.Gauge("faults.active"),
+	in := &Injector{
+		eng:     e,
+		tgt:     tgt,
+		plan:    plan,
+		r:       r,
+		byKind:  r.CounterVec("faults.injected.kind", labels),
+		skipped: r.Counter("faults.skipped"),
+		faulted: r.Counter("faults.errors"),
+		active:  r.Gauge("faults.active"),
 	}
+	r.CounterFunc("faults.injected", func() int64 { return int64(in.applied) })
+	return in
 }
 
 // Plan returns the plan being injected.
@@ -100,7 +100,6 @@ func (in *Injector) account(f Fault, handled bool) (bool, obs.SpanID) {
 		return false, 0
 	}
 	in.applied++
-	in.injected.Inc()
 	in.byKind.At(int(f.Kind)).Inc()
 	sp := in.r.StartSpan("fault."+f.Kind.String(), f.Node)
 	if f.For > 0 && windowable(f.Kind) {
@@ -167,7 +166,6 @@ func (in *Injector) apply(f Fault) {
 				return
 			}
 			in.applied++
-			in.injected.Inc()
 			in.byKind.At(int(f.Kind)).Inc()
 			if err != nil {
 				in.faulted.Inc()

@@ -11,10 +11,11 @@ type clusterMetrics struct {
 
 // Instrument attaches metrics and span tracing to the cluster. Call it
 // once, after New, on the registry the engine observes. A nil registry
-// is a no-op. Master counters are mirrored into gauges at snapshot time
-// (they already exist in MasterStats; sampling avoids double-counting
-// at every increment site), while migration and user-delay latencies
-// are recorded as histograms at the point they complete.
+// is a no-op. MasterStats is the only ledger for the master's tallies:
+// each is exported as a gauge that reads its field live, and the
+// workstation census is counted at every registry read. Migration and
+// user-delay latencies are recorded as histograms at the point they
+// complete.
 //
 // Cluster metrics (names per docs/OBSERVABILITY.md):
 //
@@ -49,52 +50,33 @@ func (c *Cluster) Instrument(r *obs.Registry) {
 		migrateNs:   r.Histogram("glunix.migrate.latency.ns", obs.DurationBuckets),
 		userDelayNs: r.Histogram("glunix.user.delay.ns", obs.DurationBuckets),
 	}
-	mirror := []struct {
-		name string
-		get  func(*MasterStats) int64
-	}{
-		{"glunix.jobs.submitted", func(s *MasterStats) int64 { return s.JobsSubmitted }},
-		{"glunix.jobs.completed", func(s *MasterStats) int64 { return s.JobsCompleted }},
-		{"glunix.migrations", func(s *MasterStats) int64 { return s.Migrations }},
-		{"glunix.evictions", func(s *MasterStats) int64 { return s.Evictions }},
-		{"glunix.evictions.stalled", func(s *MasterStats) int64 { return s.StalledEvicts }},
-		{"glunix.restarts", func(s *MasterStats) int64 { return s.Restarts }},
-		{"glunix.nodes.down", func(s *MasterStats) int64 { return s.NodesDown }},
-		{"glunix.rejoins", func(s *MasterStats) int64 { return s.Rejoins }},
-		{"glunix.user.disturbed", func(s *MasterStats) int64 { return s.UserDisturbed }},
-		{"glunix.image.saves", func(s *MasterStats) int64 { return s.ImageSaves }},
-		{"glunix.image.restores", func(s *MasterStats) int64 { return s.ImageRestores }},
-		{"glunix.checkpoints", func(s *MasterStats) int64 { return s.CheckpointOps }},
+	m := c.Master
+	st := &m.st
+	r.GaugeFunc("glunix.jobs.submitted", func() int64 { return st.JobsSubmitted })
+	r.GaugeFunc("glunix.jobs.completed", func() int64 { return st.JobsCompleted })
+	r.GaugeFunc("glunix.migrations", func() int64 { return st.Migrations })
+	r.GaugeFunc("glunix.evictions", func() int64 { return st.Evictions })
+	r.GaugeFunc("glunix.evictions.stalled", func() int64 { return st.StalledEvicts })
+	r.GaugeFunc("glunix.restarts", func() int64 { return st.Restarts })
+	r.GaugeFunc("glunix.nodes.down", func() int64 { return st.NodesDown })
+	r.GaugeFunc("glunix.rejoins", func() int64 { return st.Rejoins })
+	r.GaugeFunc("glunix.user.disturbed", func() int64 { return st.UserDisturbed })
+	r.GaugeFunc("glunix.image.saves", func() int64 { return st.ImageSaves })
+	r.GaugeFunc("glunix.image.restores", func() int64 { return st.ImageRestores })
+	r.GaugeFunc("glunix.checkpoints", func() int64 { return st.CheckpointOps })
+	r.GaugeFunc("glunix.ws.idle", func() int64 { return int64(m.AvailableCount()) })
+	census := func(name string, in func(*wsState) bool) {
+		r.GaugeFunc(name, func() int64 {
+			var n int64
+			for i := 1; i < len(m.ws); i++ {
+				if in(&m.ws[i]) {
+					n++
+				}
+			}
+			return n
+		})
 	}
-	gs := make([]*obs.Gauge, len(mirror))
-	for i, m := range mirror {
-		gs[i] = r.Gauge(m.name)
-	}
-	idle := r.Gauge("glunix.ws.idle")
-	recruited := r.Gauge("glunix.ws.recruited")
-	userBusy := r.Gauge("glunix.ws.userbusy")
-	down := r.Gauge("glunix.ws.down")
-	r.OnSample(func() {
-		st := c.Master.Stats()
-		for i, m := range mirror {
-			gs[i].Set(m.get(&st))
-		}
-		var nRec, nBusy, nDown int64
-		for i := 1; i < len(c.Master.ws); i++ {
-			s := &c.Master.ws[i]
-			if s.guest != nil {
-				nRec++
-			}
-			if s.userBusy {
-				nBusy++
-			}
-			if !s.up {
-				nDown++
-			}
-		}
-		idle.Set(int64(c.Master.AvailableCount()))
-		recruited.Set(nRec)
-		userBusy.Set(nBusy)
-		down.Set(nDown)
-	})
+	census("glunix.ws.recruited", func(s *wsState) bool { return s.guest != nil })
+	census("glunix.ws.userbusy", func(s *wsState) bool { return s.userBusy })
+	census("glunix.ws.down", func(s *wsState) bool { return !s.up })
 }

@@ -10,9 +10,9 @@ type pagerMetrics struct {
 
 // Instrument attaches metrics to the pager. Call once per registry
 // (metric names are fixed; instrument the pager under study, not every
-// node's). A nil registry is a no-op. The Stats counters are mirrored
-// into gauges at snapshot time; fault service latency is recorded as a
-// histogram in Touch.
+// node's). A nil registry is a no-op. Each Stats counter is exported
+// as a gauge that reads its field live; fault service latency is
+// recorded as a histogram in Touch.
 //
 // Pager metrics (names per docs/OBSERVABILITY.md):
 //
@@ -33,28 +33,14 @@ func (pg *Pager) Instrument(r *obs.Registry) {
 	pg.m = &pagerMetrics{
 		faultNs: r.Histogram("netram.fault.latency.ns", obs.DurationBuckets),
 	}
-	mirror := []struct {
-		name string
-		get  func(*Stats) int64
-	}{
-		{"netram.faults", func(s *Stats) int64 { return s.Faults }},
-		{"netram.fills.zero", func(s *Stats) int64 { return s.ZeroFills }},
-		{"netram.hits.remote", func(s *Stats) int64 { return s.RemoteHits }},
-		{"netram.reads.disk", func(s *Stats) int64 { return s.DiskReads }},
-		{"netram.stores.remote", func(s *Stats) int64 { return s.RemoteStores }},
-		{"netram.writes.disk", func(s *Stats) int64 { return s.DiskWrites }},
-		{"netram.pages.returned", func(s *Stats) int64 { return s.Returned }},
-		{"netram.pages.lost", func(s *Stats) int64 { return s.LostPages }},
-	}
-	gs := make([]*obs.Gauge, len(mirror))
-	for i, m := range mirror {
-		gs[i] = r.Gauge(m.name)
-	}
-	free := r.Gauge("netram.frames.free")
-	r.OnSample(func() {
-		for i, m := range mirror {
-			gs[i].Set(m.get(&pg.st))
-		}
-		free.Set(int64(pg.reg.TotalFree()))
-	})
+	st := &pg.st
+	r.GaugeFunc("netram.faults", func() int64 { return st.Faults })
+	r.GaugeFunc("netram.fills.zero", func() int64 { return st.ZeroFills })
+	r.GaugeFunc("netram.hits.remote", func() int64 { return st.RemoteHits })
+	r.GaugeFunc("netram.reads.disk", func() int64 { return st.DiskReads })
+	r.GaugeFunc("netram.stores.remote", func() int64 { return st.RemoteStores })
+	r.GaugeFunc("netram.writes.disk", func() int64 { return st.DiskWrites })
+	r.GaugeFunc("netram.pages.returned", func() int64 { return st.Returned })
+	r.GaugeFunc("netram.pages.lost", func() int64 { return st.LostPages })
+	r.GaugeFunc("netram.frames.free", func() int64 { return int64(pg.reg.TotalFree()) })
 }

@@ -267,9 +267,6 @@ func (f *Fabric) Send(p *sim.Proc, pkt *Packet) {
 	pkt.Sent = f.eng.Now()
 	if pkt.Src == pkt.Dst {
 		f.stats.SelfSends++
-		if m := f.m; m != nil {
-			m.selfSends.Inc()
-		}
 		f.deliverAt(f.eng.Now(), pkt)
 		return
 	}
@@ -460,34 +457,19 @@ func (f *Fabric) injectedDelay(pkt *Packet) sim.Duration {
 func (f *Fabric) accept(pkt *Packet) bool {
 	f.stats.Offered++
 	f.stats.OfferedBytes += int64(pkt.Bytes)
-	if m := f.m; m != nil {
-		m.offered.Inc()
-		m.offeredBytes.Add(int64(pkt.Bytes))
-	}
 	if f.injectedDrop(pkt) {
 		f.stats.Drops++
 		f.stats.InjectedDrops++
-		if m := f.m; m != nil {
-			m.drops.Inc()
-			m.injDrops.Inc()
-		}
 		f.FreePacket(pkt)
 		return false
 	}
 	if f.cfg.LossProb > 0 && f.eng.Rand().Float64() < f.cfg.LossProb {
 		f.stats.Drops++
-		if m := f.m; m != nil {
-			m.drops.Inc()
-		}
 		f.FreePacket(pkt)
 		return false
 	}
 	f.stats.Delivered++
 	f.stats.DeliveredBytes += int64(pkt.Bytes)
-	if m := f.m; m != nil {
-		m.delivered.Inc()
-		m.deliveredBytes.Add(int64(pkt.Bytes))
-	}
 	return true
 }
 

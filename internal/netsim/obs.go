@@ -2,26 +2,20 @@ package netsim
 
 import "github.com/nowproject/now/internal/obs"
 
-// fabricMetrics holds the fabric's collector handles; nil on an
-// unobserved fabric, so the send/accept paths pay a single branch.
+// fabricMetrics holds the fabric's histogram handles; nil on an
+// unobserved fabric, so the delivery path pays a single branch. The
+// packet counters are not here: Stats is their only ledger.
 type fabricMetrics struct {
-	offered        *obs.Counter   // net.offered
-	offeredBytes   *obs.Counter   // net.offered.bytes
-	delivered      *obs.Counter   // net.delivered
-	deliveredBytes *obs.Counter   // net.delivered.bytes
-	drops          *obs.Counter   // net.drops
-	injDrops       *obs.Counter   // net.drops.injected
-	selfSends      *obs.Counter   // net.sends.self
-	crossSent      *obs.Counter   // net.cross.sent
-	crossRecv      *obs.Counter   // net.cross.recv
-	latency        *obs.Histogram // net.am.latency.ns
-	topoHops       *obs.Histogram // net.topo.hops (topology fabrics only)
-	topoQueue      *obs.Histogram // net.topo.queue.ns (topology fabrics only)
+	latency   *obs.Histogram // net.am.latency.ns
+	topoHops  *obs.Histogram // net.topo.hops (topology fabrics only)
+	topoQueue *obs.Histogram // net.topo.queue.ns (topology fabrics only)
 }
 
 // Instrument attaches metrics collectors to the fabric. Call once per
 // registry (metric names are fixed, so a second fabric on the same
-// registry would collide). A nil registry is a no-op.
+// registry would collide). A nil registry is a no-op. The net.*
+// counters read the fabric's Stats fields live; the utilisation gauges
+// read the links at every registry read.
 //
 // Fabric metrics (names per docs/OBSERVABILITY.md):
 //
@@ -54,21 +48,19 @@ func (f *Fabric) Instrument(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	f.m = &fabricMetrics{
-		offered:        r.Counter("net.offered"),
-		offeredBytes:   r.Counter("net.offered.bytes"),
-		delivered:      r.Counter("net.delivered"),
-		deliveredBytes: r.Counter("net.delivered.bytes"),
-		drops:          r.Counter("net.drops"),
-		injDrops:       r.Counter("net.drops.injected"),
-		selfSends:      r.Counter("net.sends.self"),
-		latency:        r.Histogram("net.am.latency.ns", obs.DurationBuckets),
-	}
+	r.CounterFunc("net.offered", func() int64 { return f.stats.Offered })
+	r.CounterFunc("net.offered.bytes", func() int64 { return f.stats.OfferedBytes })
+	r.CounterFunc("net.delivered", func() int64 { return f.stats.Delivered })
+	r.CounterFunc("net.delivered.bytes", func() int64 { return f.stats.DeliveredBytes })
+	r.CounterFunc("net.drops", func() int64 { return f.stats.Drops })
+	r.CounterFunc("net.drops.injected", func() int64 { return f.stats.InjectedDrops })
+	r.CounterFunc("net.sends.self", func() int64 { return f.stats.SelfSends })
+	f.m = &fabricMetrics{latency: r.Histogram("net.am.latency.ns", obs.DurationBuckets)}
 	if f.cross != nil {
 		// Partition fabrics only: a plain fabric's export must not grow
 		// rows it can never increment (classic-run goldens stay stable).
-		f.m.crossSent = r.Counter("net.cross.sent")
-		f.m.crossRecv = r.Counter("net.cross.recv")
+		r.CounterFunc("net.cross.sent", func() int64 { return f.stats.CrossSent })
+		r.CounterFunc("net.cross.recv", func() int64 { return f.stats.CrossRecv })
 	}
 	if f.topo != nil {
 		// Topology fabrics only, for the same golden-stability reason:
@@ -77,30 +69,32 @@ func (f *Fabric) Instrument(r *obs.Registry) {
 		f.m.topoQueue = r.Histogram("net.topo.queue.ns", obs.DurationBuckets)
 	}
 	if f.medium != nil {
-		util := r.Gauge("net.medium.util.ppm")
-		r.OnSample(func() { util.Set(obs.Ratio(f.medium.Utilization())) })
+		r.GaugeFunc("net.medium.util.ppm", func() int64 { return obs.Ratio(f.medium.Utilization()) })
 	}
 	if len(f.txLinks) > 0 {
-		mean := r.Gauge("net.links.tx.util.ppm.mean")
-		max := r.Gauge("net.links.tx.util.ppm.max")
-		r.OnSample(func() {
-			var sum, top, n int64
-			for _, l := range f.txLinks {
-				if l == nil {
-					// Sharded fabric: this partition does not own the node.
-					continue
-				}
-				u := obs.Ratio(l.Utilization())
-				sum += u
-				if u > top {
-					top = u
-				}
-				n++
-			}
-			if n > 0 {
-				mean.Set(sum / n)
-			}
-			max.Set(top)
-		})
+		r.GaugeFunc("net.links.tx.util.ppm.mean", func() int64 { mean, _ := f.txUtil(); return mean })
+		r.GaugeFunc("net.links.tx.util.ppm.max", func() int64 { _, max := f.txUtil(); return max })
 	}
+}
+
+// txUtil reports the mean and max tx-link utilisation in ppm over the
+// links this fabric owns (a sharded partition skips the nil slots of
+// nodes it does not own); both 0 when it owns none.
+func (f *Fabric) txUtil() (mean, max int64) {
+	var sum, n int64
+	for _, l := range f.txLinks {
+		if l == nil {
+			continue
+		}
+		u := obs.Ratio(l.Utilization())
+		sum += u
+		if u > max {
+			max = u
+		}
+		n++
+	}
+	if n > 0 {
+		mean = sum / n
+	}
+	return mean, max
 }

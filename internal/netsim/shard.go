@@ -210,9 +210,6 @@ func (f *Fabric) sendCross(pkt *Packet, ser sim.Duration) {
 		Pkt:      *pkt,
 	}
 	f.stats.CrossSent++
-	if m := f.m; m != nil {
-		m.crossSent.Inc()
-	}
 	// Ordering key: nominal uncontended arrival. Receiver contention is
 	// resolved deterministically on the destination side.
 	c.se.Send(c.part, c.pm.Part(pkt.Dst), cp.HeadAtRx+ser+cp.Delay, cp)
@@ -233,9 +230,6 @@ func (f *Fabric) injectCross(m sim.ShardMsg) {
 	*pkt = cp.Pkt
 	pkt.pooled = pooled
 	f.stats.CrossRecv++
-	if mm := f.m; mm != nil {
-		mm.crossRecv.Inc()
-	}
 	outStart := cp.HeadAtRx
 	if f.rxFree[pkt.Dst] > outStart {
 		outStart = f.rxFree[pkt.Dst]

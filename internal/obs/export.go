@@ -66,21 +66,18 @@ func (m Metric) Quantile(q float64) (v int64, ok bool) {
 	return m.Max, true
 }
 
-// Snapshot runs the OnSample hooks, then returns every metric sorted by
-// name.
+// Snapshot returns every metric sorted by name, reading func-backed
+// metrics from their ledgers.
 func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
-	for _, fn := range r.samplers {
-		fn()
-	}
 	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for _, c := range r.counters {
-		out = append(out, Metric{Name: c.name, Type: "counter", Value: c.v})
+		out = append(out, Metric{Name: c.name, Type: "counter", Value: c.Value()})
 	}
 	for _, g := range r.gauges {
-		out = append(out, Metric{Name: g.name, Type: "gauge", Value: g.v})
+		out = append(out, Metric{Name: g.name, Type: "gauge", Value: g.Value()})
 	}
 	for _, h := range r.hists {
 		m := Metric{Name: h.name, Type: "histogram", Value: h.n, Sum: h.sum,

@@ -29,17 +29,12 @@ import (
 // its rule, so heterogeneous registries (e.g. one coordinator registry
 // plus N partition registries) merge cleanly.
 //
-// Merged snapshots every source first (running its samplers), so it
-// must only be called while the simulation feeding the sources is
-// quiescent. The result is a value copy: later activity in the sources
-// does not flow through, and the merged registry's spans are read-only.
+// Merged reads func-backed metrics from their ledgers, so it must only
+// be called while the simulation feeding the sources is quiescent. The
+// result is a value copy: later activity in the sources does not flow
+// through, and the merged registry's spans are read-only.
 func Merged(srcs ...*Registry) *Registry {
 	dst := NewRegistry()
-	for _, src := range srcs {
-		if src != nil {
-			src.Snapshot() // run samplers so mirrored values are current
-		}
-	}
 	type histAcc struct {
 		bounds      []int64
 		counts      []int64
@@ -60,21 +55,22 @@ func Merged(srcs ...*Registry) *Registry {
 			if _, ok := counters[c.name]; !ok {
 				counterOrder = append(counterOrder, c.name)
 			}
-			counters[c.name] += c.v
+			counters[c.name] += c.Value()
 		}
 		for _, g := range src.gauges {
+			v := g.Value()
 			if !gaugeSeen[g.name] {
 				gaugeSeen[g.name] = true
 				gaugeOrder = append(gaugeOrder, g.name)
-				gauges[g.name] = g.v
+				gauges[g.name] = v
 				continue
 			}
 			if mergeGaugeMax(g.name) {
-				if g.v > gauges[g.name] {
-					gauges[g.name] = g.v
+				if v > gauges[g.name] {
+					gauges[g.name] = v
 				}
 			} else {
-				gauges[g.name] += g.v
+				gauges[g.name] += v
 			}
 		}
 		for _, h := range src.hists {

@@ -116,3 +116,38 @@ func TestMergedHistogramLayoutMismatchPanics(t *testing.T) {
 	}()
 	Merged(a, b)
 }
+
+// TestMergedReadsFuncMetricsIntoStaticCopy: func-backed counters and
+// gauges merge under the same rules as stored ones, read from their
+// ledgers at merge time; the merged registry holds plain values that do
+// not follow later ledger changes.
+func TestMergedReadsFuncMetricsIntoStaticCopy(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	sentA, sentB := int64(3), int64(4)
+	maxA, maxB := int64(9), int64(12)
+	a.CounterFunc("x.sent", func() int64 { return sentA })
+	b.CounterFunc("x.sent", func() int64 { return sentB })
+	a.GaugeFunc("q.depth.max", func() int64 { return maxA })
+	b.GaugeFunc("q.depth.max", func() int64 { return maxB })
+	b.Counter("x.sent.static").Add(2)
+
+	m := Merged(a, b)
+	check := func(when string) {
+		t.Helper()
+		if v, _ := m.CounterValue("x.sent"); v != 7 {
+			t.Errorf("%s: x.sent = %d, want 7 (summed)", when, v)
+		}
+		if v, _ := m.GaugeValue("q.depth.max"); v != 12 {
+			t.Errorf("%s: q.depth.max = %d, want 12 (max)", when, v)
+		}
+		if v, _ := m.CounterValue("x.sent.static"); v != 2 {
+			t.Errorf("%s: x.sent.static = %d, want 2", when, v)
+		}
+	}
+	check("at merge")
+	sentA, sentB, maxA, maxB = 100, 200, 300, 400
+	check("after the ledgers moved")
+	if v, _ := a.CounterValue("x.sent"); v != 100 {
+		t.Errorf("source x.sent = %d, want the live 100", v)
+	}
+}

@@ -20,10 +20,12 @@
 //     with a single pointer test and perform no map lookups and no
 //     allocations per event, so the scheduler's ns-level wins survive.
 //
-// Handles are created once, at subsystem construction (preallocated
-// label sets via CounterVec/GaugeVec); recording is a plain field
-// increment. Sampled values (utilisations, queue depths read at export
-// time) are registered with OnSample. See docs/OBSERVABILITY.md for the
+// A tally lives in exactly one place: the subsystem's Stats if it has
+// one, exported with CounterFunc/GaugeFunc, which read the live field
+// on every read; otherwise an obs counter, created once at subsystem
+// construction (preallocated label sets via CounterVec/GaugeVec) and
+// bumped with a plain field increment. Sampled values (utilisations,
+// queue depths) are GaugeFuncs too. See docs/OBSERVABILITY.md for the
 // naming conventions and the instrumentation guide.
 package obs
 
@@ -42,6 +44,7 @@ type Time = int64
 type Counter struct {
 	name string
 	v    int64
+	read func() int64 // CounterFunc: the subsystem's ledger; v is unused
 }
 
 // Inc adds one.
@@ -64,6 +67,9 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
+	if c.read != nil {
+		return c.read()
+	}
 	return c.v
 }
 
@@ -73,6 +79,7 @@ func (c *Counter) Value() int64 {
 type Gauge struct {
 	name string
 	v    int64
+	read func() int64 // GaugeFunc: the live level; v is unused
 }
 
 // Set records the current level.
@@ -101,6 +108,9 @@ func (g *Gauge) SetMax(v int64) {
 func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
+	}
+	if g.read != nil {
+		return g.read()
 	}
 	return g.v
 }
@@ -150,7 +160,6 @@ type Registry struct {
 	gauges   []*Gauge
 	hists    []*Histogram
 	names    map[string]bool
-	samplers []func()
 	clock    func() Time
 	spans    []Span
 }
@@ -209,6 +218,31 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// CounterFunc registers a counter whose value is read(), called at
+// every read (Value, Snapshot, CounterValue, Merged): the subsystem's
+// own tally is the ledger, and the registry only names it. read must
+// be a deterministic function of simulation state. The returned handle
+// is read-only; Inc and Add on it have no visible effect. Nil on a nil
+// registry.
+func (r *Registry) CounterFunc(name string, read func() int64) *Counter {
+	c := r.Counter(name)
+	if c != nil {
+		c.read = read
+	}
+	return c
+}
+
+// GaugeFunc is CounterFunc for gauges: a level read from simulation
+// state at every read (a utilisation, a census, a tally exported as a
+// gauge).
+func (r *Registry) GaugeFunc(name string, read func() int64) *Gauge {
+	g := r.Gauge(name)
+	if g != nil {
+		g.read = read
+	}
+	return g
+}
+
 // CounterVec creates one counter per label, named name{label}. Labels
 // are fixed at construction — the preallocated-label-set rule.
 func (r *Registry) CounterVec(name string, labels []string) *CounterVec {
@@ -234,16 +268,6 @@ func (r *Registry) GaugeVec(name string, labels []string) *GaugeVec {
 	return v
 }
 
-// OnSample registers fn to run (in registration order) at the start of
-// every Snapshot — the place to copy sampled values (utilisations,
-// queue depths, mirrored subsystem tallies) into gauges. Hooks must be
-// deterministic functions of simulation state.
-func (r *Registry) OnSample(fn func()) {
-	if r != nil {
-		r.samplers = append(r.samplers, fn)
-	}
-}
-
 // CounterValue looks a counter up by name at reporting time — the
 // experiment harness's read path. Not for hot paths.
 func (r *Registry) CounterValue(name string) (int64, bool) {
@@ -252,7 +276,7 @@ func (r *Registry) CounterValue(name string) (int64, bool) {
 	}
 	for _, c := range r.counters {
 		if c.name == name {
-			return c.v, true
+			return c.Value(), true
 		}
 	}
 	return 0, false
@@ -265,7 +289,7 @@ func (r *Registry) GaugeValue(name string) (int64, bool) {
 	}
 	for _, g := range r.gauges {
 		if g.name == name {
-			return g.v, true
+			return g.Value(), true
 		}
 	}
 	return 0, false

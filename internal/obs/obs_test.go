@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,7 +35,16 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if r.Snapshot() != nil || r.Spans() != nil || r.MetricNames() != nil {
 		t.Fatal("nil registry exported something")
 	}
-	r.OnSample(func() { t.Fatal("sampler ran on nil registry") })
+	read := func() int64 { t.Fatal("ledger read on nil registry"); return 0 }
+	if r.CounterFunc("cf", read) != nil || r.GaugeFunc("gf", read) != nil {
+		t.Fatal("nil registry returned a func-backed handle")
+	}
+	if v, ok := r.CounterValue("cf"); ok || v != 0 {
+		t.Fatalf("nil registry CounterValue = %d, %v", v, ok)
+	}
+	if v, ok := r.GaugeValue("gf"); ok || v != 0 {
+		t.Fatalf("nil registry GaugeValue = %d, %v", v, ok)
+	}
 }
 
 func TestNilHandleRecordingAllocatesNothing(t *testing.T) {
@@ -69,14 +79,23 @@ func TestEnabledRecordingAllocatesNothing(t *testing.T) {
 }
 
 func TestDuplicateNamePanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("dup")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	r.Gauge("dup")
+	zero := func() int64 { return 0 }
+	for kind, dup := range map[string]func(r *Registry){
+		"gauge":        func(r *Registry) { r.Gauge("dup") },
+		"counter func": func(r *Registry) { r.CounterFunc("dup", zero) },
+		"gauge func":   func(r *Registry) { r.GaugeFunc("dup", zero) },
+	} {
+		func() {
+			r := NewRegistry()
+			r.Counter("dup")
+			defer func() {
+				if recover() == nil {
+					t.Errorf("duplicate %s registration did not panic", kind)
+				}
+			}()
+			dup(r)
+		}()
+	}
 }
 
 func TestHistogramBucketing(t *testing.T) {
@@ -114,7 +133,7 @@ func TestSnapshotSortedAndStable(t *testing.T) {
 		r.Gauge("a.first").Set(1)
 		r.Histogram("m.mid", DepthBuckets).Observe(5)
 		r.CounterVec("vec", []string{"n0", "n1"}).At(1).Inc()
-		r.OnSample(func() { /* deterministic no-op */ })
+		r.GaugeFunc("f.func", func() int64 { return 4 })
 		return r
 	}
 	var b1, b2 bytes.Buffer
@@ -135,15 +154,39 @@ func TestSnapshotSortedAndStable(t *testing.T) {
 	}
 }
 
-func TestOnSampleRunsBeforeSnapshot(t *testing.T) {
+func TestGaugeFuncReadsAtSnapshot(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("sampled")
 	level := int64(0)
-	r.OnSample(func() { g.Set(level) })
+	r.GaugeFunc("sampled", func() int64 { return level })
 	level = 42
 	snap := r.Snapshot()
 	if snap[0].Value != 42 {
-		t.Fatalf("sampler did not run: %+v", snap[0])
+		t.Fatalf("gauge func not read at snapshot: %+v", snap[0])
+	}
+}
+
+// TestFuncMetricsReadThrough: a func-backed metric has no stored copy —
+// every read path (handle, lookup, snapshot) sees the ledger as it is
+// now, with no Snapshot needed in between, and keeps its type.
+func TestFuncMetricsReadThrough(t *testing.T) {
+	r := NewRegistry()
+	var ledger struct{ sent, depth int64 }
+	c := r.CounterFunc("x.sent", func() int64 { return ledger.sent })
+	g := r.GaugeFunc("x.depth", func() int64 { return ledger.depth })
+	ledger.sent, ledger.depth = 7, 3
+	if c.Value() != 7 || g.Value() != 3 {
+		t.Fatalf("handles read %d, %d; want 7, 3", c.Value(), g.Value())
+	}
+	if v, ok := r.CounterValue("x.sent"); !ok || v != 7 {
+		t.Fatalf("CounterValue = %d, %v", v, ok)
+	}
+	ledger.depth = 5
+	if v, ok := r.GaugeValue("x.depth"); !ok || v != 5 {
+		t.Fatalf("GaugeValue = %d, %v; want the live 5", v, ok)
+	}
+	want := []Metric{{Name: "x.depth", Type: "gauge", Value: 5}, {Name: "x.sent", Type: "counter", Value: 7}}
+	if snap := r.Snapshot(); !reflect.DeepEqual(snap, want) {
+		t.Fatalf("snapshot = %+v, want %+v", snap, want)
 	}
 }
 

@@ -45,7 +45,7 @@ type Engine struct {
 	// stat lives at the tail so the 64-byte tally block does not push
 	// the loop-read control fields (stopped, limit, queues) onto extra
 	// cache lines; the hot fields above keep their pre-obs layout.
-	stat engineStats // always-on tallies; Observe mirrors them out
+	stat engineStats // always-on tallies; Observe exports them
 }
 
 // NewEngine returns an engine with its clock at zero and a deterministic

@@ -5,9 +5,11 @@ import "github.com/nowproject/now/internal/obs"
 // engineStats is the engine's always-on tally block: plain int64 fields
 // bumped unconditionally, with every site off the critical self-wake
 // path (switch and callback dispatches are dominated by the channel
-// handoff / callback body; cancellation reaps are rare). The remaining
-// engine metrics are not tallied at all — they are derived at mirror
-// time from state the engine maintains anyway:
+// handoff / callback body; cancellation reaps are rare). It is the
+// engine's only ledger: Observe exports each field with
+// obs.CounterFunc/GaugeFunc, read live at every registry read. The
+// remaining engine metrics are not tallied at all — they are derived
+// at read time from state the engine maintains anyway:
 //
 //	scheduled  = seq        (one sequence number per schedule() call)
 //	spawns     = nextPID    (one pid per SpawnAt)
@@ -20,8 +22,7 @@ import "github.com/nowproject/now/internal/obs"
 // the unobserved ProcSwitch benchmark inside the <5 % budget the
 // scheduler benchmarks enforce — the hot self-wake path carries no
 // tally work beyond the queue-depth high-water checks in schedule().
-// Observe mirrors the tallies into a registry at Snapshot time via an
-// OnSample delta hook; without a registry they are simply never read.
+// Without a registry the fields are simply never read.
 type engineStats struct {
 	cancelled int64 // sim.events.cancelled (reaped at pop)
 	callbacks int64 // sim.events.callbacks
@@ -51,51 +52,32 @@ type engineStats struct {
 //	sim.events.pending       events queued at snapshot (sampled)
 //	sim.time.now.ns          virtual time at snapshot (sampled)
 //
-// The counters are mirrored (or derived — see engineStats) from engine
-// state when the registry snapshots, so they are exact totals as of the
-// snapshot, not a sampling approximation.
+// Every metric reads engine state (or is derived from it — see
+// engineStats) when the registry is read, so the values are exact
+// totals as of that read, not a sampling approximation.
 func (e *Engine) Observe(r *obs.Registry) {
 	if r == nil {
 		return
 	}
 	r.SetClock(func() obs.Time { return int64(e.now) })
-	scheduled := r.Counter("sim.events.scheduled")
-	dispatched := r.Counter("sim.events.dispatched")
-	cancelled := r.Counter("sim.events.cancelled")
-	callbacks := r.Counter("sim.events.callbacks")
-	selfWakes := r.Counter("sim.proc.wakes.self")
-	switches := r.Counter("sim.proc.switches")
-	spawns := r.Counter("sim.proc.spawns")
-	runqMax := r.Gauge("sim.runq.depth.max")
-	heapMax := r.Gauge("sim.heap.depth.max")
-	live := r.Gauge("sim.procs.live")
-	pending := r.Gauge("sim.events.pending")
-	now := r.Gauge("sim.time.now.ns")
-	var last struct {
-		scheduled, dispatched, cancelled, callbacks, selfWakes, switches, spawns int64
-	}
-	r.OnSample(func() {
-		s := e.stat
-		queued := int64(e.Pending())
-		sched := int64(e.seq)
-		disp := sched - s.cancelled - queued
-		self := disp - s.switches - s.callbacks
-		spwn := int64(e.nextPID)
-		scheduled.Add(sched - last.scheduled)
-		dispatched.Add(disp - last.dispatched)
-		cancelled.Add(s.cancelled - last.cancelled)
-		callbacks.Add(s.callbacks - last.callbacks)
-		selfWakes.Add(self - last.selfWakes)
-		switches.Add(s.switches - last.switches)
-		spawns.Add(spwn - last.spawns)
-		last.scheduled, last.dispatched, last.cancelled = sched, disp, s.cancelled
-		last.callbacks, last.selfWakes, last.switches, last.spawns = s.callbacks, self, s.switches, spwn
-		runqMax.Set(s.runqMax)
-		heapMax.Set(s.heapMax)
-		live.Set(int64(len(e.procs)))
-		pending.Set(queued)
-		now.Set(int64(e.now))
-	})
+	s := &e.stat
+	r.CounterFunc("sim.events.scheduled", func() int64 { return int64(e.seq) })
+	r.CounterFunc("sim.events.dispatched", e.dispatched)
+	r.CounterFunc("sim.events.cancelled", func() int64 { return s.cancelled })
+	r.CounterFunc("sim.events.callbacks", func() int64 { return s.callbacks })
+	r.CounterFunc("sim.proc.wakes.self", func() int64 { return e.dispatched() - s.switches - s.callbacks })
+	r.CounterFunc("sim.proc.switches", func() int64 { return s.switches })
+	r.CounterFunc("sim.proc.spawns", func() int64 { return int64(e.nextPID) })
+	r.GaugeFunc("sim.runq.depth.max", func() int64 { return s.runqMax })
+	r.GaugeFunc("sim.heap.depth.max", func() int64 { return s.heapMax })
+	r.GaugeFunc("sim.procs.live", func() int64 { return int64(len(e.procs)) })
+	r.GaugeFunc("sim.events.pending", func() int64 { return int64(e.Pending()) })
+	r.GaugeFunc("sim.time.now.ns", func() int64 { return int64(e.now) })
+}
+
+// dispatched derives sim.events.dispatched (see engineStats).
+func (e *Engine) dispatched() int64 {
+	return int64(e.seq) - e.stat.cancelled - int64(e.Pending())
 }
 
 // Instrument is Observe under the name every other subsystem uses, so

@@ -107,8 +107,8 @@ type shardPart struct {
 
 	next Time // start of the next window to execute
 
-	// Deterministic tallies (read after Run or from Observe samplers on
-	// the coordinating goroutine).
+	// Deterministic tallies (read after Run, by Stats or through the
+	// registry Observe wires, on the coordinating goroutine).
 	sent, recv              int64
 	windowsRun, windowsIdle int64
 	// stalls counts gate waits that actually parked. Wall-clock timing

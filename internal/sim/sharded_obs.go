@@ -25,15 +25,12 @@ import (
 //	sim.shard.windows.run      windows that executed events (all parts)
 //	sim.shard.windows.idle     windows skipped as empty (all parts)
 //
-// The samplers read partition state, so Snapshot may only run while the
-// simulation is quiescent: before Run, or after Run has returned.
+// Every metric reads partition state, so the registry may only be read
+// while the simulation is quiescent: before Run, or after Run has
+// returned.
 func (s *ShardedEngine) Observe(r *obs.Registry) {
 	if r == nil {
 		return
-	}
-	labels := make([]string, s.cfg.Parts)
-	for i := range labels {
-		labels[i] = "p" + strconv.Itoa(i)
 	}
 	r.SetClock(func() obs.Time {
 		var t Time
@@ -44,36 +41,27 @@ func (s *ShardedEngine) Observe(r *obs.Registry) {
 		}
 		return int64(t)
 	})
-	parts := r.Gauge("sim.shard.parts")
-	window := r.Gauge("sim.shard.window.ns")
-	events := r.CounterVec("sim.shard.events", labels)
-	sent := r.CounterVec("sim.shard.msgs.sent", labels)
-	recv := r.CounterVec("sim.shard.msgs.recv", labels)
-	sentTot := r.Counter("sim.shard.msgs.sent.total")
-	recvTot := r.Counter("sim.shard.msgs.recv.total")
-	wrun := r.Counter("sim.shard.windows.run")
-	widle := r.Counter("sim.shard.windows.idle")
-	type partLast struct {
-		events, sent, recv, wrun, widle int64
+	r.GaugeFunc("sim.shard.parts", func() int64 { return int64(s.cfg.Parts) })
+	r.GaugeFunc("sim.shard.window.ns", func() int64 { return int64(s.cfg.Window) })
+	for i, p := range s.parts {
+		l := "{p" + strconv.Itoa(i) + "}"
+		r.CounterFunc("sim.shard.events"+l, func() int64 { return int64(p.eng.seq) })
+		r.CounterFunc("sim.shard.msgs.sent"+l, func() int64 { return p.sent })
+		r.CounterFunc("sim.shard.msgs.recv"+l, func() int64 { return p.recv })
 	}
-	last := make([]partLast, s.cfg.Parts)
-	r.OnSample(func() {
-		parts.Set(int64(s.cfg.Parts))
-		window.Set(int64(s.cfg.Window))
-		for i, p := range s.parts {
-			l := &last[i]
-			ev := int64(p.eng.seq)
-			events.At(i).Add(ev - l.events)
-			sent.At(i).Add(p.sent - l.sent)
-			recv.At(i).Add(p.recv - l.recv)
-			sentTot.Add(p.sent - l.sent)
-			recvTot.Add(p.recv - l.recv)
-			wrun.Add(p.windowsRun - l.wrun)
-			widle.Add(p.windowsIdle - l.widle)
-			l.events, l.sent, l.recv = ev, p.sent, p.recv
-			l.wrun, l.widle = p.windowsRun, p.windowsIdle
-		}
-	})
+	total := func(name string, get func(*shardPart) int64) {
+		r.CounterFunc(name, func() int64 {
+			var n int64
+			for _, p := range s.parts {
+				n += get(p)
+			}
+			return n
+		})
+	}
+	total("sim.shard.msgs.sent.total", func(p *shardPart) int64 { return p.sent })
+	total("sim.shard.msgs.recv.total", func(p *shardPart) int64 { return p.recv })
+	total("sim.shard.windows.run", func(p *shardPart) int64 { return p.windowsRun })
+	total("sim.shard.windows.idle", func(p *shardPart) int64 { return p.windowsIdle })
 }
 
 // Instrument is Observe under the facade's Instrumentable name.

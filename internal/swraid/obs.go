@@ -5,8 +5,9 @@ import "github.com/nowproject/now/internal/obs"
 // Instrument attaches metrics and span tracing to the array. Call once
 // per registry, on the array under study (xFS builds one array per
 // client over the same stores — instrument one). A nil registry is a
-// no-op. Counters are mirrored into gauges at snapshot time; each
-// Rebuild records a raid.rebuild span (node = replacement store).
+// no-op. The array's counters are exported as gauges that read them
+// live; each Rebuild records a raid.rebuild span (node = replacement
+// store).
 //
 // Array metrics (names per docs/OBSERVABILITY.md):
 //
@@ -19,14 +20,8 @@ func (a *Array) Instrument(r *obs.Registry) {
 		return
 	}
 	a.obs = r
-	reads := r.Gauge("raid.reads")
-	writes := r.Gauge("raid.writes")
-	degraded := r.Gauge("raid.reads.degraded")
-	dead := r.Gauge("raid.stores.dead")
-	r.OnSample(func() {
-		reads.Set(a.reads)
-		writes.Set(a.writes)
-		degraded.Set(a.degraded)
-		dead.Set(int64(len(a.dead)))
-	})
+	r.GaugeFunc("raid.reads", func() int64 { return a.reads })
+	r.GaugeFunc("raid.writes", func() int64 { return a.writes })
+	r.GaugeFunc("raid.reads.degraded", func() int64 { return a.degraded })
+	r.GaugeFunc("raid.stores.dead", func() int64 { return int64(len(a.dead)) })
 }

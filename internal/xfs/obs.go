@@ -3,8 +3,8 @@ package xfs
 import "github.com/nowproject/now/internal/obs"
 
 // Instrument attaches metrics and span tracing to the system. Call once
-// per registry, after New. A nil registry is a no-op. The Stats
-// counters are mirrored into gauges at snapshot time; ownership
+// per registry, after New. A nil registry is a no-op. Each Stats
+// counter is exported as a gauge that reads its field live; ownership
 // transfers additionally record an xfs.ownership.transfer span (node =
 // the manager's hosting node, annotated with old → new owner).
 //
@@ -32,35 +32,22 @@ func (sys *System) Instrument(r *obs.Registry) {
 		return
 	}
 	sys.obs = r
-	mirror := []struct {
-		name string
-		get  func(*Stats) int64
-	}{
-		{"xfs.reads", func(s *Stats) int64 { return s.Reads }},
-		{"xfs.writes", func(s *Stats) int64 { return s.Writes }},
-		{"xfs.hits.local", func(s *Stats) int64 { return s.LocalHits }},
-		{"xfs.transfers.cache", func(s *Stats) int64 { return s.CacheTransfers }},
-		{"xfs.reads.storage", func(s *Stats) int64 { return s.StorageReads }},
-		{"xfs.writes.storage", func(s *Stats) int64 { return s.StorageWrites }},
-		{"xfs.invalidations", func(s *Stats) int64 { return s.Invalidations }},
-		{"xfs.owner.yields", func(s *Stats) int64 { return s.OwnerYields }},
-		{"xfs.failovers", func(s *Stats) int64 { return s.Failovers }},
-		{"xfs.batch.range.reads", func(s *Stats) int64 { return s.RangeReads }},
-		{"xfs.batch.range.writes", func(s *Stats) int64 { return s.RangeWrites }},
-		{"xfs.batch.tokens", func(s *Stats) int64 { return s.BatchedTokens }},
-		{"xfs.batch.evicts", func(s *Stats) int64 { return s.BatchedEvicts }},
-		{"xfs.batch.commits", func(s *Stats) int64 { return s.GroupCommits }},
-		{"xfs.prefetch.issued", func(s *Stats) int64 { return s.PrefetchIssued }},
-		{"xfs.prefetch.hits", func(s *Stats) int64 { return s.PrefetchHits }},
-		{"xfs.prefetch.wasted", func(s *Stats) int64 { return s.PrefetchWasted }},
-	}
-	gs := make([]*obs.Gauge, len(mirror))
-	for i, m := range mirror {
-		gs[i] = r.Gauge(m.name)
-	}
-	r.OnSample(func() {
-		for i, m := range mirror {
-			gs[i].Set(m.get(&sys.stats))
-		}
-	})
+	st := &sys.stats
+	r.GaugeFunc("xfs.reads", func() int64 { return st.Reads })
+	r.GaugeFunc("xfs.writes", func() int64 { return st.Writes })
+	r.GaugeFunc("xfs.hits.local", func() int64 { return st.LocalHits })
+	r.GaugeFunc("xfs.transfers.cache", func() int64 { return st.CacheTransfers })
+	r.GaugeFunc("xfs.reads.storage", func() int64 { return st.StorageReads })
+	r.GaugeFunc("xfs.writes.storage", func() int64 { return st.StorageWrites })
+	r.GaugeFunc("xfs.invalidations", func() int64 { return st.Invalidations })
+	r.GaugeFunc("xfs.owner.yields", func() int64 { return st.OwnerYields })
+	r.GaugeFunc("xfs.failovers", func() int64 { return st.Failovers })
+	r.GaugeFunc("xfs.batch.range.reads", func() int64 { return st.RangeReads })
+	r.GaugeFunc("xfs.batch.range.writes", func() int64 { return st.RangeWrites })
+	r.GaugeFunc("xfs.batch.tokens", func() int64 { return st.BatchedTokens })
+	r.GaugeFunc("xfs.batch.evicts", func() int64 { return st.BatchedEvicts })
+	r.GaugeFunc("xfs.batch.commits", func() int64 { return st.GroupCommits })
+	r.GaugeFunc("xfs.prefetch.issued", func() int64 { return st.PrefetchIssued })
+	r.GaugeFunc("xfs.prefetch.hits", func() int64 { return st.PrefetchHits })
+	r.GaugeFunc("xfs.prefetch.wasted", func() int64 { return st.PrefetchWasted })
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/sim"
 	"github.com/nowproject/now/internal/swraid"
 )
@@ -368,4 +369,43 @@ func TestRAID0ConfigWorksWithoutFailures(t *testing.T) {
 			t.Fatal("RAID-0 round trip failed")
 		}
 	})
+}
+
+// TestGaugesReadStatsLive: the xfs.* gauges are the Stats fields, read
+// through — mid-run and at the end, with no Snapshot, they equal Stats().
+func TestGaugesReadStatsLive(t *testing.T) {
+	e, sys := buildFS(t, 6)
+	reg := obs.NewRegistry()
+	sys.Instrument(reg)
+	check := func(when string) {
+		t.Helper()
+		st := sys.Stats()
+		for name, want := range map[string]int64{
+			"xfs.reads": st.Reads, "xfs.writes": st.Writes,
+			"xfs.hits.local": st.LocalHits, "xfs.transfers.cache": st.CacheTransfers,
+			"xfs.reads.storage": st.StorageReads,
+		} {
+			if got, ok := reg.GaugeValue(name); !ok || got != want {
+				t.Errorf("%s: %s = %d, %v; Stats says %d", when, name, got, ok, want)
+			}
+		}
+	}
+	drive(t, e, func(p *sim.Proc) {
+		if err := sys.Client(0).Write(p, 1, 0, fill(1024, 1)); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 3; c++ {
+			if _, err := sys.Client(c).Read(p, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("mid-run")
+		if _, err := sys.Client(4).Read(p, 2, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got, _ := reg.GaugeValue("xfs.reads"); got != 4 {
+		t.Fatalf("xfs.reads = %d, want 4", got)
+	}
+	check("end of run")
 }

@@ -129,7 +129,7 @@ type (
 // engine with Engine.Observe and to subsystems with InstrumentAll.
 var NewRegistry = obs.NewRegistry
 
-// Instrumentable is anything that can mirror its internals into a
+// Instrumentable is anything that can export its internals into a
 // metrics registry. Every NOW subsystem satisfies it: the Engine,
 // Fabric, GLUnix, Coscheduler, NetRAMPager, CoopCache, RAIDArray, XFS,
 // and Comm all carry an Instrument method.

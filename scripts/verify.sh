@@ -30,9 +30,11 @@ echo "== go test -race sharded experiments stack (engine+fabric+collectives end 
 go test -race -count=1 -run 'TestSharded' ./internal/experiments/ >/dev/null
 echo "== netsim fabric accounting regressions (drop-before-reserve, FIFO under fault churn)"
 go test -count=1 -run 'TestPartitionFloodDoesNotDelayHealthyTraffic|TestLinkFaultFIFOUnderChurn|TestPartitionDropsAndAccounts' ./internal/netsim/ >/dev/null
-echo "== observability golden determinism (byte-identical metrics across runs)"
+echo "== observability golden determinism (byte-identical metrics across runs; Stats read-through: TestFuncMetricsReadThrough, TestMergedReadsFuncMetricsIntoStaticCopy, TestGaugesReadStatsLive; net.* derivation: TestShardedLossInvariant in the topology step)"
 go test -count=1 -run 'TestMetricsGoldenDeterminism' ./cmd/nowsim/ >/dev/null
 go test -count=1 -run 'TestEngineMetricsDeterministic' ./internal/sim/ >/dev/null
+go test -count=1 -run 'TestFuncMetricsReadThrough|TestDuplicateNamePanics|TestNilRegistryIsInert|TestGaugeFuncReadsAtSnapshot|TestMergedReadsFuncMetricsIntoStaticCopy' ./internal/obs/ >/dev/null
+go test -count=1 -run 'TestGaugesReadStatsLive' ./internal/coopcache/ ./internal/xfs/ >/dev/null
 echo "== fault-plan golden determinism (same plan -> byte-identical exports)"
 go test -count=1 -run 'TestFaultedRunGoldenDeterminism' ./cmd/nowsim/ >/dev/null
 go test -count=1 -run 'TestInjectorDeterministicExport' ./internal/faults/ >/dev/null
