@@ -19,6 +19,19 @@ import (
 	"github.com/nowproject/now/internal/experiments"
 )
 
+// fullConfig returns the configuration study id runs at full scale, as
+// its row in the study table gives it.
+func fullConfig[C any](b *testing.B, id string) C {
+	for _, s := range experiments.Studies {
+		if s.ID == id {
+			return s.Full.(C)
+		}
+	}
+	b.Fatalf("no study %s", id)
+	var zero C
+	return zero
+}
+
 func BenchmarkTable1MPPLag(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, rows := experiments.Table1()
@@ -70,7 +83,7 @@ func BenchmarkFigure2NetworkRAM(b *testing.B) {
 
 func BenchmarkTable3CoopCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Table3(experiments.DefaultTable3Config())
+		_, rows, err := experiments.Table3(fullConfig[experiments.Table3Config](b, "T3"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +114,7 @@ func BenchmarkTable4Gator(b *testing.B) {
 
 func BenchmarkFigure3MixedWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure3(experiments.DefaultFigure3Config())
+		_, rows, err := experiments.Figure3(fullConfig[experiments.Figure3Config](b, "F3"))
 		if err != nil {
 			b.Fatal(err)
 		}

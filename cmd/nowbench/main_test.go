@@ -7,31 +7,71 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/nowproject/now/internal/experiments"
 )
 
-func TestRunJSONOutput(t *testing.T) {
+// runStdout runs the CLI with args and returns what it printed.
+func runStdout(t *testing.T, args ...string) []byte {
+	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	runErr := run([]string{"-json", "-quick", "-only", "T1,E5"})
+	runErr := run(args)
 	w.Close()
 	os.Stdout = old
 	raw, _ := io.ReadAll(r)
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	var reports []jsonReport
+	return raw
+}
+
+// decodeReports decodes the output of a -json run.
+func decodeReports(t *testing.T, raw []byte) []experiments.JSONReport {
+	t.Helper()
+	var reports []experiments.JSONReport
 	if err := json.Unmarshal(raw, &reports); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, raw)
 	}
+	return reports
+}
+
+func TestRunJSONOutput(t *testing.T) {
+	reports := decodeReports(t, runStdout(t, "-json", "-quick", "-only", "T1,E5"))
 	if len(reports) != 2 || reports[0].ID != "T1" || reports[1].ID != "E5" {
 		t.Fatalf("reports = %+v", reports)
 	}
 	if len(reports[0].Rows) == 0 || len(reports[0].Headers) == 0 {
 		t.Fatalf("T1 report empty: %+v", reports[0])
+	}
+}
+
+// TestRunCLIMatchesGolden pins the CLI path itself: the bytes nowbench
+// prints and exports for one study are the study's stored goldens,
+// which internal/experiments checks for every row of the table.
+func TestRunCLIMatchesGolden(t *testing.T) {
+	mpath := filepath.Join(t.TempDir(), "sc1.json")
+	raw := runStdout(t, "-json", "-quick", "-only", "SC1", "-metrics", mpath)
+	mb, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if !bytes.Equal(raw, golden("sc1.report.json.golden")) {
+		t.Errorf("nowbench -json -quick -only SC1 drifted from its golden:\n%s", raw)
+	}
+	if !bytes.Equal(mb, golden("sc1.metrics.golden")) {
+		t.Error("nowbench -metrics export for SC1 drifted from its golden")
 	}
 }
 
@@ -41,193 +81,12 @@ func TestRunSubsetQuick(t *testing.T) {
 	}
 }
 
+// TestRunAblationSelection: -only names ablations without -ablations,
+// and the reports come out in table order, not -only order.
 func TestRunAblationSelection(t *testing.T) {
-	if err := run([]string{"-quick", "-only", "A4"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScaleStudyGoldenDeterminism is the SC1 golden: the collective
-// scale study, run twice through the full CLI path with metrics
-// export, must produce byte-identical report JSON and metrics files.
-func TestScaleStudyGoldenDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	runOnce := func(n string) ([]byte, []byte) {
-		mpath := filepath.Join(dir, "sc"+n+".json")
-		old := os.Stdout
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		runErr := run([]string{"-json", "-quick", "-only", "SC1", "-metrics", mpath})
-		w.Close()
-		os.Stdout = old
-		raw, _ := io.ReadAll(r)
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		mb, err := os.ReadFile(mpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw, mb
-	}
-	r1, m1 := runOnce("1")
-	r2, m2 := runOnce("2")
-	if !bytes.Equal(r1, r2) {
-		t.Fatal("SC1 report JSON is not byte-deterministic")
-	}
-	if !bytes.Equal(m1, m2) {
-		t.Fatal("SC1 metrics export is not byte-deterministic")
-	}
-	for _, want := range []string{`"collective.barriers"`, `"net.offered"`, `"net.delivered"`} {
-		if !bytes.Contains(m1, []byte(want)) {
-			t.Fatalf("SC1 metrics missing %s:\n%.300s", want, m1)
-		}
-	}
-}
-
-// TestSeqScanGoldenDeterminism is the ST2 golden: the sequential-scan
-// pipelining study, run twice through the full CLI path with metrics
-// export, must produce byte-identical report JSON and metrics files —
-// concurrent prefetch procs and vectored fan-outs included.
-func TestSeqScanGoldenDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	runOnce := func(n string) ([]byte, []byte) {
-		mpath := filepath.Join(dir, "st"+n+".json")
-		old := os.Stdout
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		runErr := run([]string{"-json", "-quick", "-only", "ST2", "-metrics", mpath})
-		w.Close()
-		os.Stdout = old
-		raw, _ := io.ReadAll(r)
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		mb, err := os.ReadFile(mpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw, mb
-	}
-	r1, m1 := runOnce("1")
-	r2, m2 := runOnce("2")
-	if !bytes.Equal(r1, r2) {
-		t.Fatal("ST2 report JSON is not byte-deterministic")
-	}
-	if !bytes.Equal(m1, m2) {
-		t.Fatal("ST2 metrics export is not byte-deterministic")
-	}
-	for _, want := range []string{`"xfs.batch.tokens"`, `"xfs.prefetch.issued"`, `"xfs.batch.commits"`} {
-		if !bytes.Contains(m1, []byte(want)) {
-			t.Fatalf("ST2 metrics missing %s:\n%.300s", want, m1)
-		}
-	}
-}
-
-// TestRemediationGoldenDeterminism is the AV2 golden: the self-healing
-// availability study, run twice through the full CLI path with metrics
-// export, must produce byte-identical report JSON and metrics files —
-// the remediator's sweep, cordons and spare rebuilds included — and the
-// first run must match the goldens stored with the experiments.
-func TestRemediationGoldenDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("AV2 runs minutes of virtual workload, twice")
-	}
-	dir := t.TempDir()
-	runOnce := func(n string) ([]byte, []byte) {
-		mpath := filepath.Join(dir, "av"+n+".json")
-		old := os.Stdout
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		runErr := run([]string{"-json", "-quick", "-only", "AV2", "-metrics", mpath})
-		w.Close()
-		os.Stdout = old
-		raw, _ := io.ReadAll(r)
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		mb, err := os.ReadFile(mpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw, mb
-	}
-	r1, m1 := runOnce("1")
-	golden := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if !bytes.Equal(r1, golden("av2.report.json.golden")) {
-		t.Fatalf("AV2 report JSON drifted from its golden:\n%s", r1)
-	}
-	if !bytes.Equal(m1, golden("av2.metrics.golden")) {
-		t.Fatal("AV2 metrics export drifted from its golden")
-	}
-	r2, m2 := runOnce("2")
-	if !bytes.Equal(r1, r2) {
-		t.Fatal("AV2 report JSON is not byte-deterministic")
-	}
-	if !bytes.Equal(m1, m2) {
-		t.Fatal("AV2 metrics export is not byte-deterministic")
-	}
-	for _, want := range []string{`"remediate.rebuilds"`, `"remediate.cordons"`, `"cp.commands"`, `"faults.injected"`} {
-		if !bytes.Contains(m1, []byte(want)) {
-			t.Fatalf("AV2 metrics missing %s:\n%.300s", want, m1)
-		}
-	}
-}
-
-// TestWideAreaGoldenDeterminism is the WA1 golden: the wide-area
-// federation study — two clusters over a sharded engine, lease warmups,
-// WAN RPC and all — run twice through the full CLI path with metrics
-// export, must produce byte-identical report JSON and metrics files.
-func TestWideAreaGoldenDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	runOnce := func(n string) ([]byte, []byte) {
-		mpath := filepath.Join(dir, "wa"+n+".json")
-		old := os.Stdout
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		runErr := run([]string{"-json", "-quick", "-only", "WA1", "-metrics", mpath})
-		w.Close()
-		os.Stdout = old
-		raw, _ := io.ReadAll(r)
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		mb, err := os.ReadFile(mpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw, mb
-	}
-	r1, m1 := runOnce("1")
-	r2, m2 := runOnce("2")
-	if !bytes.Equal(r1, r2) {
-		t.Fatal("WA1 report JSON is not byte-deterministic")
-	}
-	if !bytes.Equal(m1, m2) {
-		t.Fatal("WA1 metrics export is not byte-deterministic")
-	}
-	for _, want := range []string{`"fed.lease.grants"`, `"fed.cache.hits"`, `"fed.fetch.remote"`, `"wan.sent"`, `"wan.bytes"`} {
-		if !bytes.Contains(m1, []byte(want)) {
-			t.Fatalf("WA1 metrics missing %s:\n%.300s", want, m1)
-		}
+	reports := decodeReports(t, runStdout(t, "-json", "-quick", "-only", "A4,T1"))
+	if len(reports) != 2 || reports[0].ID != "T1" || reports[1].ID != "A4" {
+		t.Fatalf("reports = %+v", reports)
 	}
 }
 
@@ -241,49 +100,5 @@ func TestRunUnknownIDIsNoop(t *testing.T) {
 	// Selecting a nonexistent id runs nothing and errors nowhere.
 	if err := run([]string{"-only", "ZZ"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTopologyStudyGoldenDeterminism is the SC3 golden: the topology
-// study — six phases per (topology, size) cell, in-network combine
-// events and topology-fabric metrics included — run twice through the
-// full CLI path, must produce byte-identical report JSON and metrics
-// files. SC3 is single-engine by construction (sharded fabrics reject
-// topologies), so the -shards flag cannot perturb it.
-func TestTopologyStudyGoldenDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	runOnce := func(n string) ([]byte, []byte) {
-		mpath := filepath.Join(dir, "sc3-"+n+".json")
-		old := os.Stdout
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		runErr := run([]string{"-json", "-quick", "-only", "SC3", "-metrics", mpath})
-		w.Close()
-		os.Stdout = old
-		raw, _ := io.ReadAll(r)
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		mb, err := os.ReadFile(mpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw, mb
-	}
-	r1, m1 := runOnce("1")
-	r2, m2 := runOnce("2")
-	if !bytes.Equal(r1, r2) {
-		t.Fatal("SC3 report JSON is not byte-deterministic")
-	}
-	if !bytes.Equal(m1, m2) {
-		t.Fatal("SC3 metrics export is not byte-deterministic")
-	}
-	for _, want := range []string{`"collective.innet.ops"`, `"collective.innet.combines"`, `"net.topo.hops"`, `"net.topo.queue.ns"`} {
-		if !bytes.Contains(m1, []byte(want)) {
-			t.Fatalf("SC3 metrics missing %s:\n%.300s", want, m1)
-		}
 	}
 }

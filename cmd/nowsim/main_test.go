@@ -354,6 +354,34 @@ func TestCheckShippedScenarios(t *testing.T) {
 	}
 }
 
+// TestShippedScenarioGoldens runs every story shipped under
+// examples/scenarios/ and diffs its report, byte for byte, against the
+// .report.golden stored beside it. A failed assertion fails the run.
+func TestShippedScenarioGoldens(t *testing.T) {
+	files, err := filepath.Glob("../../examples/scenarios/*.scn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 2 {
+		t.Fatalf("expected at least 2 shipped scenarios, found %v", files)
+	}
+	for _, scn := range files {
+		golden := strings.TrimSuffix(scn, ".scn") + ".report.golden"
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden report for %s: %v", scn, err)
+		}
+		out, err := captureRun(t, []string{"run", scn})
+		if err != nil {
+			t.Errorf("%s: %v\n%s", scn, err, out)
+			continue
+		}
+		if out != string(want) {
+			t.Errorf("%s report drifted from %s:\n got:\n%s\nwant:\n%s", scn, golden, out, want)
+		}
+	}
+}
+
 // TestFaultPlanFromFile exercises the file branch of -faults.
 func TestFaultPlanFromFile(t *testing.T) {
 	dir := t.TempDir()

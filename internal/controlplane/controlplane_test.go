@@ -153,6 +153,41 @@ func TestNoDoubleDrain(t *testing.T) {
 	}
 }
 
+// TestCordonedGaugeIsCensus: cp.cordoned counts the master's cordon
+// flags at read time, however they were set — by Cordon, by a drain,
+// or on the master directly — and an uncordon of a drained node lowers
+// it once.
+func TestCordonedGaugeIsCensus(t *testing.T) {
+	st := buildStack(t, false)
+	runTo(t, st, 2*sim.Minute)
+	for _, ws := range []int{2, 4} {
+		if err := st.CP.Cordon(ws); err != nil {
+			t.Fatalf("Cordon(%d): %v", ws, err)
+		}
+	}
+	st.Engine.Spawn("test/drain", func(p *sim.Proc) {
+		if err := st.CP.Drain(p, 6); err != nil {
+			t.Errorf("Drain: %v", err)
+		}
+	})
+	runTo(t, st, 6*sim.Minute)
+	if got := counter(t, st, "cp.cordoned"); got != 3 {
+		t.Fatalf("cp.cordoned = %d after two cordons and a drain, want 3", got)
+	}
+	for _, ws := range []int{2, 6} {
+		if err := st.CP.Uncordon(ws); err != nil {
+			t.Fatalf("Uncordon(%d): %v", ws, err)
+		}
+	}
+	if got := counter(t, st, "cp.cordoned"); got != 1 {
+		t.Fatalf("cp.cordoned = %d after two uncordons, want 1", got)
+	}
+	st.Cluster.Master.Cordon(8)
+	if got := counter(t, st, "cp.cordoned"); got != 2 {
+		t.Fatalf("cp.cordoned = %d after a master-side cordon, want 2", got)
+	}
+}
+
 // TestRemediatorCordonUncordon: the AV1-style crash window. A crashed
 // workstation is cordoned after the down grace and uncordoned only
 // after it has rejoined and stayed stable.

@@ -29,9 +29,6 @@ type PolicyRow struct {
 // on migration: restart burns the job's progress, ignoring the user
 // burns the social contract.
 func RecruitmentPolicyAblation(ws, days int, seed int64) (Report, []PolicyRow, error) {
-	if ws <= 0 {
-		ws, days = 64, 1
-	}
 	length := sim.Duration(days) * 24 * sim.Hour
 	horizon := length + 12*sim.Hour
 	jcfg := trace.DefaultJobTraceConfig(length)
@@ -114,9 +111,6 @@ type NChanceRow struct {
 // caching: 0 is greedy forwarding, 2 is the paper's algorithm, higher
 // buys little — the diminishing-returns curve from Dahlin's study.
 func NChanceAblation(accesses int) (Report, []NChanceRow, error) {
-	if accesses <= 0 {
-		accesses = 120_000
-	}
 	tcfg := trace.DefaultFileTraceConfig()
 	tcfg.Accesses = accesses
 	all := trace.GenerateFileTrace(tcfg)

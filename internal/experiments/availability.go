@@ -17,36 +17,23 @@ import (
 type AvailabilityConfig struct {
 	// Workstations in the GLUnix cluster (the mixed workload side).
 	Workstations int
-	// XFSNodes and XFSSpares shape the storage side: XFSNodes total,
-	// of which the last XFSSpares are hot spares outside the stripe.
-	XFSNodes  int
-	XFSSpares int
-	// Horizon is the faulted portion of the run; the simulation gets
-	// extra slack after it so restarted jobs can finish.
-	Horizon sim.Duration
 	// ReadStreams is how many parallel clients keep the stores busy.
 	// It must be enough to make the array throughput-bound, or the
-	// degraded window shows no penalty (see availabilityRun). Zero
-	// means 4.
+	// degraded window shows no penalty (see availabilityRun).
 	ReadStreams int
-	// Seed drives the engine, the traces and the fault plan.
-	Seed int64
-}
-
-// DefaultAvailabilityConfig returns the AV1/AV2 scale: a small NOW
-// where a single crash is a visible fraction of capacity.
-func DefaultAvailabilityConfig() AvailabilityConfig {
-	return AvailabilityConfig{
-		Workstations: 16,
-		XFSNodes:     10,
-		XFSSpares:    2,
-		Horizon:      sim.Hour,
-		ReadStreams:  4,
-		Seed:         1,
-	}
 }
 
 const (
+	// availabilityXFSNodes and availabilitySpares shape the storage
+	// side: availabilityXFSNodes in total, of which the last
+	// availabilitySpares are hot spares outside the stripe.
+	availabilityXFSNodes = 10
+	availabilitySpares   = 2
+	// availabilityHorizon is the faulted portion of the run; the
+	// simulation gets extra slack after it so restarted jobs can finish.
+	availabilityHorizon = sim.Hour
+	// availabilitySeed drives the engine, the traces and the fault plan.
+	availabilitySeed = 1
 	// availabilityBucket is the width of the read-bandwidth buckets.
 	availabilityBucket = 60 * sim.Second
 	// firstReader is the xFS client running read stream 0; stream r
@@ -105,18 +92,18 @@ func availabilityRuns(cfg AvailabilityConfig, study string, arms []availabilityA
 // drives the plan through both.
 func availabilityRun(cfg AvailabilityConfig, arm availabilityArm) (availabilityResult, error) {
 	res := availabilityResult{name: arm.name, regXFS: obs.NewRegistry()}
-	e := sim.NewEngine(cfg.Seed)
+	e := sim.NewEngine(availabilitySeed)
 	defer e.Close()
 	regCluster := obs.NewRegistry()
 	e.Observe(regCluster)
 	res.regXFS.SetClock(func() obs.Time { return int64(e.Now()) })
 
 	gcfg := glunix.DefaultConfig(cfg.Workstations)
-	gcfg.Seed = cfg.Seed
+	gcfg.Seed = availabilitySeed
 	// Storage side: an xFS installation with hot spares on its own
 	// fabric (storage ids in the plan address this system).
-	xcfg := xfs.DefaultConfig(cfg.XFSNodes)
-	xcfg.SpareNodes = cfg.XFSSpares
+	xcfg := xfs.DefaultConfig(availabilityXFSNodes)
+	xcfg.SpareNodes = availabilitySpares
 	xcfg.Managers = 2
 	xcfg.ClientCacheBlocks = 16 // small cache: reads exercise the RAID
 	st, err := stack.Build(e, regCluster, stack.Spec{
@@ -143,12 +130,8 @@ func availabilityRun(cfg AvailabilityConfig, arm availabilityArm) (availabilityR
 	// are after. Completions are bucketed by minute for the phase
 	// numbers.
 	const fileBlocks = 128
-	readStreams := cfg.ReadStreams
-	if readStreams <= 0 {
-		readStreams = 4
-	}
-	res.buckets = make([]int64, int(cfg.Horizon/availabilityBucket)+1)
-	for r := 0; r < readStreams; r++ {
+	res.buckets = make([]int64, int(availabilityHorizon/availabilityBucket)+1)
+	for r := 0; r < cfg.ReadStreams; r++ {
 		client := st.XFS.Client(firstReader + r)
 		file := xfs.FileID(1 + r)
 		e.Spawn(fmt.Sprintf("availability/xfsload%d", r), func(p *sim.Proc) {
@@ -162,7 +145,7 @@ func availabilityRun(cfg AvailabilityConfig, arm availabilityArm) (availabilityR
 				p.Fail(err)
 			}
 			for blk := uint32(0); ; blk = (blk + 1) % fileBlocks {
-				if p.Now() >= sim.Time(cfg.Horizon) {
+				if p.Now() >= sim.Time(availabilityHorizon) {
 					return
 				}
 				data, err := client.Read(p, file, blk)
@@ -180,10 +163,10 @@ func availabilityRun(cfg AvailabilityConfig, arm availabilityArm) (availabilityR
 
 	// Cluster side: interactive users plus the parallel job log.
 	acfg := trace.DefaultActivityConfig(cfg.Workstations, 1)
-	acfg.Seed = cfg.Seed
+	acfg.Seed = availabilitySeed
 	activity := trace.GenerateActivity(acfg)
-	jcfg := trace.DefaultJobTraceConfig(cfg.Horizon)
-	jcfg.Seed = cfg.Seed
+	jcfg := trace.DefaultJobTraceConfig(availabilityHorizon)
+	jcfg.Seed = availabilitySeed
 	jcfg.MachineNodes = cfg.Workstations / 2 // every job fits the NOW
 	jcfg.MeanInterarrival = 10 * sim.Minute
 	jcfg.MeanDevWork = 3 * sim.Minute
@@ -195,7 +178,7 @@ func availabilityRun(cfg AvailabilityConfig, arm availabilityArm) (availabilityR
 		}
 	}
 	// Slack after the horizon lets restarted jobs finish.
-	res.mixed, err = st.Cluster.RunMixed(activity, jobs, cfg.Horizon+2*sim.Hour)
+	res.mixed, err = st.Cluster.RunMixed(activity, jobs, availabilityHorizon+2*sim.Hour)
 	if err != nil && !errors.Is(err, sim.ErrStopped) {
 		return res, err
 	}

@@ -18,7 +18,7 @@ type Table3Row struct {
 	Stats        coopcache.Stats
 }
 
-// Table3Config controls the study's scale; the default reproduces the
+// Table3Config controls the study's scale; the full scale reproduces the
 // paper's 42-workstation, two-day setting at a reduced access count
 // (the cache *ratios* — 16 MB clients, 128 MB server, working set
 // beyond the server cache — are what drive the result).
@@ -27,21 +27,10 @@ type Table3Config struct {
 	Policies []coopcache.Policy
 }
 
-// DefaultTable3Config runs all three policies.
-func DefaultTable3Config() Table3Config {
-	return Table3Config{
-		Accesses: 120_000,
-		Policies: []coopcache.Policy{coopcache.ClientServer, coopcache.Greedy, coopcache.NChance},
-	}
-}
-
 // Table3 reproduces the cooperative caching study: client/server
 // baseline vs N-chance forwarding (plus greedy forwarding as the
 // ablation), on the synthetic two-day file trace.
 func Table3(cfg Table3Config) (Report, []Table3Row, error) {
-	if cfg.Accesses <= 0 {
-		cfg = DefaultTable3Config()
-	}
 	tcfg := trace.DefaultFileTraceConfig()
 	tcfg.Accesses = cfg.Accesses
 	accesses := trace.GenerateFileTrace(tcfg)

@@ -199,7 +199,7 @@ func TestFigure3Point(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	_, rows, err := Figure3(Figure3Config{Days: 1, Sizes: []int{96}, Seed: 1})
+	_, rows, err := Figure3(Figure3Config{Days: 1, Sizes: []int{96}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +243,7 @@ func TestSWRAIDScaling(t *testing.T) {
 }
 
 func TestSeqScanSpeedup(t *testing.T) {
-	cfg := DefaultSeqScanConfig()
-	cfg.Sizes = []int{32}
-	rep, rows, err := SeqScan(cfg)
+	rep, rows, err := SeqScan([]int{32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,30 +17,21 @@ import (
 type ScaleConfig struct {
 	// Sizes are the cluster sizes to sweep.
 	Sizes []int
-	// Arity is the collective tree fan-out.
-	Arity int
 	// Barriers is how many back-to-back barriers each size runs; the
 	// reported latency is the makespan divided by this count.
 	Barriers int
-	// BlockBytes is the all-to-all per-pair block size.
-	BlockBytes int
-	// A2AMaxNodes caps the all-to-all sweep: the exchange is quadratic
-	// in messages (1,024 nodes would be ~1M), and the scaling shape is
-	// established well before that.
-	A2AMaxNodes int
 }
 
-// DefaultScaleConfig sweeps 32→1,024 nodes, the paper's ~100-node
-// building block pushed an order of magnitude past it.
-func DefaultScaleConfig() ScaleConfig {
-	return ScaleConfig{
-		Sizes:       []int{32, 64, 128, 256, 512, 1024},
-		Arity:       4,
-		Barriers:    4,
-		BlockBytes:  1024,
-		A2AMaxNodes: 128,
-	}
-}
+const (
+	// treeArity is the software collective tree fan-out of SC1 and SC3.
+	treeArity = 4
+	// scaleBlockBytes is SC1's all-to-all per-pair block size.
+	scaleBlockBytes = 1024
+	// scaleA2AMaxNodes caps SC1's all-to-all sweep: the exchange is
+	// quadratic in messages (1,024 nodes would be ~1M), and the scaling
+	// shape is established well before that.
+	scaleA2AMaxNodes = 128
+)
 
 // ScaleRow is one cluster size of the SC1 study.
 type ScaleRow struct {
@@ -63,15 +54,6 @@ type ScaleRow struct {
 // staying bounded, which is what a switched fabric buys over a shared
 // medium.
 func ScaleCollectives(cfg ScaleConfig) (Report, []ScaleRow, error) {
-	if cfg.Arity <= 0 {
-		cfg.Arity = 4
-	}
-	if cfg.Barriers <= 0 {
-		cfg.Barriers = 4
-	}
-	if cfg.BlockBytes <= 0 {
-		cfg.BlockBytes = 1024
-	}
 	acfg := am.DefaultConfig()
 	rows := make([]ScaleRow, 0, len(cfg.Sizes))
 	regs := make(map[string]*obs.Registry, len(cfg.Sizes))
@@ -106,77 +88,50 @@ func ScaleCollectives(cfg ScaleConfig) (Report, []ScaleRow, error) {
 		Title: "Collective operations 32→1,024 nodes vs LogP-style prediction",
 		Table: table,
 		Notes: fmt.Sprintf("%d-ary trees, %d-byte all-to-all blocks (capped at %d nodes), barrier latency averaged over %d back-to-back barriers",
-			cfg.Arity, cfg.BlockBytes, cfg.A2AMaxNodes, cfg.Barriers),
+			treeArity, scaleBlockBytes, scaleA2AMaxNodes, cfg.Barriers),
 		Obs: regs,
 	}, rows, nil
 }
 
 // scaleOne runs one cluster size and returns its row and registry.
 func scaleOne(n int, cfg ScaleConfig, acfg am.Config) (ScaleRow, *obs.Registry, error) {
-	e := sim.NewEngine(1)
-	defer e.Close()
-	reg := obs.NewRegistry()
-	e.Observe(reg)
-	fcfg := netsim.Myrinet(n)
-	fab, err := netsim.New(e, fcfg)
+	rig, err := newCollectiveRig(n, nil, acfg)
 	if err != nil {
 		return ScaleRow{}, nil, err
 	}
-	fab.Instrument(reg)
-	eps := make([]*am.Endpoint, n)
-	for i := 0; i < n; i++ {
-		eps[i] = am.NewEndpoint(e, node.New(e, node.DefaultConfig(netsim.NodeID(i))), fab, acfg)
-	}
-	comm, err := collective.New(e, eps, collective.Config{Arity: cfg.Arity})
-	if err != nil {
-		return ScaleRow{}, nil, err
-	}
-	comm.Instrument(reg)
-
-	doA2A := n <= cfg.A2AMaxNodes
-	var procErr error
+	defer rig.e.Close()
+	doA2A := n <= scaleA2AMaxNodes
 	var barrierEnd, a2aStart, a2aEnd sim.Time
 	a2aStart = sim.MaxTime
-	wg := sim.NewWaitGroup(e, "sc1")
-	wg.Add(n)
-	for r := 0; r < n; r++ {
-		r := r
-		e.Spawn("rank", func(p *sim.Proc) {
-			defer wg.Done()
-			for i := 0; i < cfg.Barriers; i++ {
-				if err := comm.Barrier(p, r); err != nil {
-					procErr = err
-					return
-				}
-			}
-			if p.Now() > barrierEnd {
-				barrierEnd = p.Now()
-			}
-			if !doA2A {
-				return
-			}
-			if p.Now() < a2aStart {
-				a2aStart = p.Now()
-			}
-			if err := comm.AllToAll(p, r, cfg.BlockBytes); err != nil {
-				procErr = err
-				return
-			}
-			if p.Now() > a2aEnd {
-				a2aEnd = p.Now()
-			}
-		})
-	}
 	row := ScaleRow{Nodes: n}
-	// The monitor snapshots utilization at the moment the workload
-	// finishes and stops the run there: letting the engine drain the
-	// cancelled protocol timers would advance the clock past the work
-	// and dilute every time-averaged figure.
-	e.Spawn("monitor", func(p *sim.Proc) {
-		wg.Wait(p)
+	err = rig.runRanks("sc1", func(p *sim.Proc, r int) error {
+		for i := 0; i < cfg.Barriers; i++ {
+			if err := rig.comm.Barrier(p, r); err != nil {
+				return err
+			}
+		}
+		if p.Now() > barrierEnd {
+			barrierEnd = p.Now()
+		}
+		if !doA2A {
+			return nil
+		}
+		if p.Now() < a2aStart {
+			a2aStart = p.Now()
+		}
+		if err := rig.comm.AllToAll(p, r, scaleBlockBytes); err != nil {
+			return err
+		}
+		if p.Now() > a2aEnd {
+			a2aEnd = p.Now()
+		}
+		return nil
+	}, func() {
+		// Utilization is read the moment the workload finishes, before
+		// the run stops.
 		var sum, max float64
 		for i := 0; i < n; i++ {
-			u := fab.TxLinkUtilization(netsim.NodeID(i))
+			u := rig.fab.TxLinkUtilization(netsim.NodeID(i))
 			sum += u
 			if u > max {
 				max = u
@@ -184,22 +139,86 @@ func scaleOne(n int, cfg ScaleConfig, acfg am.Config) (ScaleRow, *obs.Registry, 
 		}
 		row.MaxLinkUtil = max
 		row.MeanLinkUtil = sum / float64(n)
-		for _, ep := range eps {
+		for _, ep := range rig.eps {
 			row.Overflows += ep.Stats().Overflows
 		}
-		e.Stop()
 	})
-	if err := e.Run(); err != nil && !errors.Is(err, sim.ErrStopped) {
+	if err != nil {
 		return ScaleRow{}, nil, err
 	}
-	if procErr != nil {
-		return ScaleRow{}, nil, procErr
-	}
 	row.BarrierUs = float64(barrierEnd) / float64(cfg.Barriers) / 1e3
-	row.BarrierPredUs = float64(collective.PredictBarrier(acfg, fcfg, n, cfg.Arity)) / 1e3
+	row.BarrierPredUs = float64(collective.PredictBarrier(acfg, rig.fcfg, n, treeArity)) / 1e3
 	if doA2A {
 		row.AllToAllUs = float64(a2aEnd-a2aStart) / 1e3
-		row.AllToAllPredUs = float64(collective.PredictAllToAll(acfg, fcfg, n, cfg.BlockBytes)) / 1e3
+		row.AllToAllPredUs = float64(collective.PredictAllToAll(acfg, rig.fcfg, n, scaleBlockBytes)) / 1e3
 	}
-	return row, reg, nil
+	return row, rig.reg, nil
+}
+
+// collectiveRig is the SC1 and SC3 test bed: one engine observed by one
+// registry, a Myrinet-class fabric, n AM endpoints and a communicator
+// over them.
+type collectiveRig struct {
+	e    *sim.Engine
+	reg  *obs.Registry
+	fcfg netsim.Config
+	fab  *netsim.Fabric
+	eps  []*am.Endpoint
+	comm *collective.Comm
+}
+
+// newCollectiveRig builds an n-node rig; topo nil is the flat crossbar.
+func newCollectiveRig(n int, topo netsim.Topology, acfg am.Config) (*collectiveRig, error) {
+	rig := &collectiveRig{e: sim.NewEngine(1), reg: obs.NewRegistry(), fcfg: netsim.Myrinet(n)}
+	rig.e.Observe(rig.reg)
+	rig.fcfg.Topo = topo
+	fab, err := netsim.New(rig.e, rig.fcfg)
+	if err != nil {
+		rig.e.Close()
+		return nil, err
+	}
+	fab.Instrument(rig.reg)
+	rig.fab = fab
+	rig.eps = make([]*am.Endpoint, n)
+	for i := range rig.eps {
+		rig.eps[i] = am.NewEndpoint(rig.e, node.New(rig.e, node.DefaultConfig(netsim.NodeID(i))), fab, acfg)
+	}
+	if rig.comm, err = collective.New(rig.e, rig.eps, collective.Config{Arity: treeArity}); err != nil {
+		rig.e.Close()
+		return nil, err
+	}
+	rig.comm.Instrument(rig.reg)
+	return rig, nil
+}
+
+// runRanks runs body once per rank, each on its own proc, and stops the
+// run the moment the last rank returns, after calling done (if non-nil)
+// at that instant. Stopping there rather than letting the engine drain
+// the cancelled protocol timers keeps the clock from advancing past the
+// work and diluting every time-averaged figure. A rank's error fails
+// the run.
+func (rig *collectiveRig) runRanks(name string, body func(p *sim.Proc, rank int) error, done func()) error {
+	n := len(rig.eps)
+	wg := sim.NewWaitGroup(rig.e, name)
+	wg.Add(n)
+	for r := 0; r < n; r++ {
+		r := r
+		rig.e.Spawn("rank", func(p *sim.Proc) {
+			defer wg.Done()
+			if err := body(p, r); err != nil {
+				rig.e.Fail(err)
+			}
+		})
+	}
+	rig.e.Spawn("monitor", func(p *sim.Proc) {
+		wg.Wait(p)
+		if done != nil {
+			done()
+		}
+		rig.e.Stop()
+	})
+	if err := rig.e.Run(); err != nil && !errors.Is(err, sim.ErrStopped) {
+		return err
+	}
+	return nil
 }

@@ -25,18 +25,10 @@ type Figure3Config struct {
 	Days int
 	// Sizes are the NOW sizes to sweep.
 	Sizes []int
-	// Seed for both traces.
-	Seed int64
 }
 
-// DefaultFigure3Config covers the paper's sweep.
-func DefaultFigure3Config() Figure3Config {
-	return Figure3Config{
-		Days:  2,
-		Sizes: []int{32, 48, 64, 96, 128},
-		Seed:  1,
-	}
-}
+// figure3Seed seeds F3's traces and engines.
+const figure3Seed = 1
 
 // Figure3 overlays a 32-node MPP job log on a NOW running interactive
 // users, sweeping the number of workstations. Slowdown is each job's
@@ -46,14 +38,11 @@ func DefaultFigure3Config() Figure3Config {
 // eviction, and cannot be rescued by the NOW's extra capacity absorbing
 // queueing. The paper's claim: ≈1.1× at 64 workstations.
 func Figure3(cfg Figure3Config) (Report, []Figure3Row, error) {
-	if cfg.Days <= 0 {
-		cfg = DefaultFigure3Config()
-	}
 	length := sim.Duration(cfg.Days) * 24 * sim.Hour
 	horizon := length + 12*sim.Hour // let straggler jobs finish
 
 	jcfg := trace.DefaultJobTraceConfig(length)
-	jcfg.Seed = cfg.Seed
+	jcfg.Seed = figure3Seed
 	// The LANL machine ran at modest utilisation: the dedicated
 	// baseline rarely queues, so the NOW's extra machines cannot win by
 	// absorbing queueing — any slowdown is pure recruitment friction,
@@ -90,9 +79,9 @@ func Figure3(cfg Figure3Config) (Report, []Figure3Row, error) {
 		"Workstations", "Slowdown vs dedicated", "Paper", "Jobs done", "Migrations", "Evictions")
 	for _, ws := range cfg.Sizes {
 		acfg := trace.DefaultActivityConfig(ws, cfg.Days)
-		acfg.Seed = cfg.Seed
+		acfg.Seed = figure3Seed
 		activity := trace.GenerateActivity(acfg)
-		e := sim.NewEngine(cfg.Seed)
+		e := sim.NewEngine(figure3Seed)
 		c, err := glunix.New(e, gcfg(ws))
 		var mixed glunix.MixedResult
 		if err == nil {

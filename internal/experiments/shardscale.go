@@ -225,35 +225,14 @@ type ShardScaleConfig struct {
 	Sizes []int
 	// Workers are the worker counts to sweep at each size.
 	Workers []int
-	// Seed feeds every run (the schedule must not depend on Workers).
-	Seed int64
 	// Rounds and Barriers shape the per-rank workload (see
 	// ShardedTrafficConfig).
 	Rounds, Barriers int
 }
 
-// DefaultShardScaleConfig sweeps 256→4,096 nodes — four times past
-// SC1's 1,024-rank ceiling — at 1 to 8 workers.
-func DefaultShardScaleConfig() ShardScaleConfig {
-	return ShardScaleConfig{
-		Sizes:    []int{256, 1024, 4096},
-		Workers:  []int{1, 2, 4, 8},
-		Seed:     1,
-		Rounds:   4,
-		Barriers: 4,
-	}
-}
-
-// QuickShardScaleConfig is the -quick variant.
-func QuickShardScaleConfig() ShardScaleConfig {
-	return ShardScaleConfig{
-		Sizes:    []int{64, 256},
-		Workers:  []int{1, 4},
-		Seed:     1,
-		Rounds:   2,
-		Barriers: 2,
-	}
-}
+// shardScaleSeed feeds every SC2 run (the schedule must not depend on
+// the worker count).
+const shardScaleSeed = 1
 
 // ShardScaleRow is one (size, workers) cell of the SC2 study.
 type ShardScaleRow struct {
@@ -270,9 +249,6 @@ type ShardScaleRow struct {
 // depends on the machine running the study. Barrier latency at the
 // largest size is the SC1 workload at 4× its old 1,024-rank ceiling.
 func ShardScale(cfg ShardScaleConfig) (Report, []ShardScaleRow, error) {
-	if len(cfg.Sizes) == 0 {
-		cfg = DefaultShardScaleConfig()
-	}
 	rows := make([]ShardScaleRow, 0, len(cfg.Sizes)*len(cfg.Workers))
 	regs := make(map[string]*obs.Registry)
 	maxWorkers := 0
@@ -281,11 +257,8 @@ func ShardScale(cfg ShardScaleConfig) (Report, []ShardScaleRow, error) {
 	for _, n := range cfg.Sizes {
 		var base float64
 		for _, w := range cfg.Workers {
-			tc := DefaultShardedTrafficConfig(n, w, cfg.Seed)
-			if cfg.Rounds > 0 {
-				tc.Rounds = cfg.Rounds
-			}
-			tc.Barriers = cfg.Barriers
+			tc := DefaultShardedTrafficConfig(n, w, shardScaleSeed)
+			tc.Rounds, tc.Barriers = cfg.Rounds, cfg.Barriers
 			res, reg, err := ShardedTraffic(tc)
 			if err != nil {
 				return Report{}, nil, fmt.Errorf("sc2 n=%d w=%d: %w", n, w, err)

@@ -55,7 +55,7 @@ func TestShardedTrafficDeterministicAcrossWorkers(t *testing.T) {
 
 // TestShardScaleQuick smoke-tests the SC2 sweep end to end.
 func TestShardScaleQuick(t *testing.T) {
-	rep, rows, err := ShardScale(QuickShardScaleConfig())
+	rep, rows, err := ShardScale(studyConfig[ShardScaleConfig](t, "SC2", true))
 	if err != nil {
 		t.Fatal(err)
 	}

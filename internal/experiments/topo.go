@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/nowproject/now/internal/netsim"
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/obs"
 	"github.com/nowproject/now/internal/proto/am"
 	"github.com/nowproject/now/internal/proto/collective"
@@ -17,43 +15,22 @@ import (
 type TopoStudyConfig struct {
 	// Sizes are the cluster sizes to sweep.
 	Sizes []int
-	// Topologies are the fabric topology names (netsim.TopoByName).
-	Topologies []string
-	// Arity is the software collective tree fan-out.
-	Arity int
-	// FatTreeArity is k for the fat-tree fabric (hosts per leaf switch).
-	FatTreeArity int
-	// Oversub is the fat-tree over-subscription ratio.
-	Oversub int
 	// Iters is how many back-to-back operations each phase runs; the
 	// reported latency is the phase makespan divided by this count.
 	Iters int
-	// BcastBytes is the broadcast payload size.
-	BcastBytes int
 }
 
-// DefaultTopoStudyConfig sweeps 32→1,024 nodes over all three
-// topologies, software tree against in-network combining.
-func DefaultTopoStudyConfig() TopoStudyConfig {
-	return TopoStudyConfig{
-		Sizes:        []int{32, 64, 128, 256, 512, 1024},
-		Topologies:   []string{"crossbar", "fattree", "torus"},
-		Arity:        4,
-		FatTreeArity: 8,
-		Oversub:      1,
-		Iters:        4,
-		BcastBytes:   512,
-	}
-}
+const (
+	// fatTreeArity is k for SC3's fat-tree fabric (hosts per leaf
+	// switch), built at fatTreeOversub:1 over-subscription.
+	fatTreeArity   = 8
+	fatTreeOversub = 1
+	// topoBcastBytes is SC3's broadcast payload size.
+	topoBcastBytes = 512
+)
 
-// QuickTopoStudyConfig is the -quick reduction: small sizes, fewer
-// iterations, same three topologies so the comparison shape survives.
-func QuickTopoStudyConfig() TopoStudyConfig {
-	cfg := DefaultTopoStudyConfig()
-	cfg.Sizes = []int{32, 64, 128}
-	cfg.Iters = 2
-	return cfg
-}
+// topologies are the fabrics SC3 compares, by netsim name.
+var topologies = []string{"crossbar", "fattree", "torus"}
 
 // TopoRow is one (topology, cluster size) cell of the SC3 study.
 type TopoRow struct {
@@ -80,31 +57,10 @@ type TopoRow struct {
 // at 1,024 ranks the in-network barrier must beat the software tree,
 // because it pays host overhead once instead of per tree level.
 func TopologyStudy(cfg TopoStudyConfig) (Report, []TopoRow, error) {
-	if len(cfg.Sizes) == 0 {
-		cfg.Sizes = []int{32, 64, 128, 256, 512, 1024}
-	}
-	if len(cfg.Topologies) == 0 {
-		cfg.Topologies = []string{"crossbar", "fattree", "torus"}
-	}
-	if cfg.Arity <= 0 {
-		cfg.Arity = 4
-	}
-	if cfg.FatTreeArity <= 0 {
-		cfg.FatTreeArity = 8
-	}
-	if cfg.Oversub <= 0 {
-		cfg.Oversub = 1
-	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 4
-	}
-	if cfg.BcastBytes <= 0 {
-		cfg.BcastBytes = 512
-	}
 	acfg := am.DefaultConfig()
-	rows := make([]TopoRow, 0, len(cfg.Topologies)*len(cfg.Sizes))
+	rows := make([]TopoRow, 0, len(topologies)*len(cfg.Sizes))
 	regs := make(map[string]*obs.Registry)
-	for _, topoName := range cfg.Topologies {
+	for _, topoName := range topologies {
 		for _, n := range cfg.Sizes {
 			row, reg, err := topoOne(topoName, n, cfg, acfg)
 			if err != nil {
@@ -135,7 +91,7 @@ func TopologyStudy(cfg TopoStudyConfig) (Report, []TopoRow, error) {
 		Title: "Topology-aware collectives 32→1,024 ranks: crossbar vs fat-tree vs torus, software tree vs in-network",
 		Table: table,
 		Notes: fmt.Sprintf("%d-ary software trees; %d-ary fat-tree at %d:1 over-subscription; %d-byte broadcasts; each figure is a %d-op phase makespan divided by %d",
-			cfg.Arity, cfg.FatTreeArity, cfg.Oversub, cfg.BcastBytes, cfg.Iters, cfg.Iters),
+			treeArity, fatTreeArity, fatTreeOversub, topoBcastBytes, cfg.Iters, cfg.Iters),
 		Obs: regs,
 	}, rows, nil
 }
@@ -147,113 +103,77 @@ func TopologyStudy(cfg TopoStudyConfig) (Report, []TopoRow, error) {
 // each phase's makespan charges the stragglers the previous phase
 // created (barrier-shaped phases re-align the ranks anyway).
 func topoOne(topoName string, n int, cfg TopoStudyConfig, acfg am.Config) (TopoRow, *obs.Registry, error) {
-	e := sim.NewEngine(1)
-	defer e.Close()
-	reg := obs.NewRegistry()
-	e.Observe(reg)
-	fcfg := netsim.Myrinet(n)
+	var topo netsim.Topology
 	var err error
 	switch topoName {
-	case "", "crossbar":
 	case "fattree":
-		fcfg.Topo, err = netsim.NewFatTree(n, cfg.FatTreeArity, cfg.Oversub)
+		topo, err = netsim.NewFatTree(n, fatTreeArity, fatTreeOversub)
 	case "torus":
-		fcfg.Topo, err = netsim.NewTorus(n)
-	default:
-		fcfg.Topo, err = netsim.TopoByName(topoName, n)
+		topo, err = netsim.NewTorus(n)
 	}
 	if err != nil {
 		return TopoRow{}, nil, err
 	}
-	fab, err := netsim.New(e, fcfg)
+	rig, err := newCollectiveRig(n, topo, acfg)
 	if err != nil {
 		return TopoRow{}, nil, err
 	}
-	fab.Instrument(reg)
-	eps := make([]*am.Endpoint, n)
-	for i := 0; i < n; i++ {
-		eps[i] = am.NewEndpoint(e, node.New(e, node.DefaultConfig(netsim.NodeID(i))), fab, acfg)
-	}
-	comm, err := collective.New(e, eps, collective.Config{Arity: cfg.Arity})
-	if err != nil {
-		return TopoRow{}, nil, err
-	}
-	comm.Instrument(reg)
+	defer rig.e.Close()
+	comm := rig.comm
 	innet, err := collective.NewInNet(comm, collective.InNetConfig{})
 	if err != nil {
 		return TopoRow{}, nil, err
 	}
-	innet.Instrument(reg)
+	innet.Instrument(rig.reg)
 
 	const phases = 6
 	var phaseEnd [phases]sim.Time
-	var procErr error
-	wg := sim.NewWaitGroup(e, "sc3")
-	wg.Add(n)
-	for r := 0; r < n; r++ {
-		r := r
-		e.Spawn("rank", func(p *sim.Proc) {
-			defer wg.Done()
-			mark := func(ph int) {
-				if p.Now() > phaseEnd[ph] {
-					phaseEnd[ph] = p.Now()
-				}
+	err = rig.runRanks("sc3", func(p *sim.Proc, r int) error {
+		mark := func(ph int) {
+			if p.Now() > phaseEnd[ph] {
+				phaseEnd[ph] = p.Now()
 			}
-			for i := 0; i < cfg.Iters; i++ {
-				if err := comm.Barrier(p, r); err != nil {
-					procErr = err
-					return
-				}
+		}
+		for i := 0; i < cfg.Iters; i++ {
+			if err := comm.Barrier(p, r); err != nil {
+				return err
 			}
-			mark(0)
-			for i := 0; i < cfg.Iters; i++ {
-				if err := innet.Barrier(p, r); err != nil {
-					procErr = err
-					return
-				}
+		}
+		mark(0)
+		for i := 0; i < cfg.Iters; i++ {
+			if err := innet.Barrier(p, r); err != nil {
+				return err
 			}
-			mark(1)
-			for i := 0; i < cfg.Iters; i++ {
-				if _, err := comm.Broadcast(p, r, i, cfg.BcastBytes); err != nil {
-					procErr = err
-					return
-				}
+		}
+		mark(1)
+		for i := 0; i < cfg.Iters; i++ {
+			if _, err := comm.Broadcast(p, r, i, topoBcastBytes); err != nil {
+				return err
 			}
-			mark(2)
-			for i := 0; i < cfg.Iters; i++ {
-				if _, err := innet.Broadcast(p, r, i, cfg.BcastBytes); err != nil {
-					procErr = err
-					return
-				}
+		}
+		mark(2)
+		for i := 0; i < cfg.Iters; i++ {
+			if _, err := innet.Broadcast(p, r, i, topoBcastBytes); err != nil {
+				return err
 			}
-			mark(3)
-			for i := 0; i < cfg.Iters; i++ {
-				if _, _, err := comm.Reduce(p, r, int64(r)); err != nil {
-					procErr = err
-					return
-				}
+		}
+		mark(3)
+		for i := 0; i < cfg.Iters; i++ {
+			if _, _, err := comm.Reduce(p, r, int64(r)); err != nil {
+				return err
 			}
-			mark(4)
-			for i := 0; i < cfg.Iters; i++ {
-				if _, err := innet.AllReduce(p, r, int64(r)); err != nil {
-					procErr = err
-					return
-				}
+		}
+		mark(4)
+		for i := 0; i < cfg.Iters; i++ {
+			if _, err := innet.AllReduce(p, r, int64(r)); err != nil {
+				return err
 			}
-			mark(5)
-		})
-	}
-	e.Spawn("monitor", func(p *sim.Proc) {
-		wg.Wait(p)
-		// Stop at workload completion; draining cancelled AM timers
-		// would advance the clock past the work (same as SC1).
-		e.Stop()
-	})
-	if err := e.Run(); err != nil && !errors.Is(err, sim.ErrStopped) {
+		}
+		mark(5)
+		return nil
+	}, nil)
+	if err != nil {
 		return TopoRow{}, nil, err
-	}
-	if procErr != nil {
-		return TopoRow{}, nil, procErr
 	}
 	per := func(ph int) float64 {
 		start := sim.Time(0)
@@ -262,13 +182,14 @@ func topoOne(topoName string, n int, cfg TopoStudyConfig, acfg am.Config) (TopoR
 		}
 		return float64(phaseEnd[ph]-start) / float64(cfg.Iters) / 1e3
 	}
+	fcfg := rig.fcfg
 	depth := netsim.CombineTreeOf(fcfg.Topo, n).Depth()
 	row := TopoRow{
 		Nodes: n,
-		Topo:  topoLabel(topoName, fcfg.Topo),
+		Topo:  topoLabel(fcfg.Topo),
 
 		BarrierTreeUs:    per(0),
-		BarrierPredUs:    float64(collective.PredictBarrier(acfg, fcfg, n, cfg.Arity)) / 1e3,
+		BarrierPredUs:    float64(collective.PredictBarrier(acfg, fcfg, n, treeArity)) / 1e3,
 		BarrierInNetUs:   per(1),
 		BarrierInNetPred: float64(collective.PredictInNetBarrier(acfg, fcfg, depth, 0)) / 1e3,
 		BcastTreeUs:      per(2),
@@ -276,13 +197,13 @@ func topoOne(topoName string, n int, cfg TopoStudyConfig, acfg am.Config) (TopoR
 		ReduceTreeUs:     per(4),
 		ReduceInNetUs:    per(5),
 	}
-	return row, reg, nil
+	return row, rig.reg, nil
 }
 
 // topoLabel names a cell's topology: the instance's own Name (which
 // carries its parameters) for structured fabrics, "crossbar" for the
 // flat default.
-func topoLabel(name string, topo netsim.Topology) string {
+func topoLabel(topo netsim.Topology) string {
 	if topo == nil {
 		return "crossbar"
 	}

@@ -8,12 +8,12 @@ import (
 // one row per (topology, size), every phase measured, predictions
 // present.
 func TestTopologyStudyShape(t *testing.T) {
-	cfg := QuickTopoStudyConfig()
+	cfg := studyConfig[TopoStudyConfig](t, "SC3", true)
 	rep, rows, err := TopologyStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(cfg.Topologies) * len(cfg.Sizes); len(rows) != want {
+	if want := len(topologies) * len(cfg.Sizes); len(rows) != want {
 		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
 	for _, r := range rows {
@@ -38,10 +38,7 @@ func TestInNetBarrierBeatsSoftwareTreeAt1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1,024-rank sweep")
 	}
-	cfg := DefaultTopoStudyConfig()
-	cfg.Sizes = []int{1024}
-	cfg.Iters = 2
-	_, rows, err := TopologyStudy(cfg)
+	_, rows, err := TopologyStudy(TopoStudyConfig{Sizes: []int{1024}, Iters: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,52 +31,27 @@ import (
 type WideAreaConfig struct {
 	// Latencies to sweep (one-way WAN propagation).
 	Latencies []sim.Duration
-	// BandwidthMbps of the (symmetric) WAN pipes. Low on purpose: the
-	// warmup's serialization term is the whole trade.
-	BandwidthMbps float64
-	// Files in the working set; FileBlocks blocks are written (and
+	// Files in the working set; waFileBlocks blocks are written (and
 	// warmed) per file.
-	Files      int
-	FileBlocks int
-	// UsedBlocks per file actually read, Reuse times each — the warmup
-	// over-fetches FileBlocks-UsedBlocks blocks per file.
-	UsedBlocks int
-	Reuse      int
-	// XFSNodes in the home cluster.
-	XFSNodes int
-	Seed     int64
+	Files int
 }
 
-// DefaultWideAreaConfig sweeps 1–100 ms on a 10 Mb/s pipe with a 64-
-// block warmup of which an eighth is read twice: the closed form puts
-// the crossover near 10 ms, mid-sweep.
-func DefaultWideAreaConfig() WideAreaConfig {
-	return WideAreaConfig{
-		Latencies: []sim.Duration{
-			1 * sim.Millisecond, 2 * sim.Millisecond, 5 * sim.Millisecond,
-			10 * sim.Millisecond, 20 * sim.Millisecond,
-			50 * sim.Millisecond, 100 * sim.Millisecond,
-		},
-		BandwidthMbps: 10,
-		Files:         3,
-		FileBlocks:    64,
-		UsedBlocks:    8,
-		Reuse:         2,
-		XFSNodes:      6,
-		Seed:          1995,
-	}
-}
-
-// QuickWideAreaConfig trims the sweep and the working set; the
-// crossover stays bracketed.
-func QuickWideAreaConfig() WideAreaConfig {
-	cfg := DefaultWideAreaConfig()
-	cfg.Latencies = []sim.Duration{
-		2 * sim.Millisecond, 5 * sim.Millisecond, 20 * sim.Millisecond, 50 * sim.Millisecond,
-	}
-	cfg.Files = 2
-	return cfg
-}
+// The rest of WA1's shape is fixed: a 10 Mb/s pipe with a 64-block
+// warmup of which an eighth is read twice, over a 6-node home xFS.
+const (
+	// waBandwidthMbps of the (symmetric) WAN pipes. Low on purpose: the
+	// warmup's serialization term is the whole trade.
+	waBandwidthMbps = 10.0
+	// waFileBlocks blocks are written and warmed per file; waUsedBlocks
+	// of them are read, waReuse times each — the warmup over-fetches
+	// waFileBlocks-waUsedBlocks blocks per file.
+	waFileBlocks = 64
+	waUsedBlocks = 8
+	waReuse      = 2
+	// waXFSNodes in the home cluster.
+	waXFSNodes = 6
+	waSeed     = 1995
+)
 
 // WARow is one latency cell: both modes measured over the same seeded
 // federation, plus the closed-form prediction for each.
@@ -101,16 +76,16 @@ func WideAreaStudy(cfg WideAreaConfig) (Report, []WARow, float64, error) {
 	regs := map[string]*obs.Registry{}
 	var rows []WARow
 
-	blockBytes := xfs.DefaultConfig(cfg.XFSNodes).BlockBytes
-	serNs := costmodel.WANTransferNs(int64(blockBytes), cfg.BandwidthMbps)
+	blockBytes := xfs.DefaultConfig(waXFSNodes).BlockBytes
+	serNs := costmodel.WANTransferNs(int64(blockBytes), waBandwidthMbps)
 	// Per-call overhead beyond propagation and the block itself: the
 	// request and reply framing on the thin pipe. The home-side xFS
 	// read time appears identically in both modes' measurements, so the
 	// closed form carries only the wire terms.
-	hdrNs := 2 * costmodel.WANTransferNs(96, cfg.BandwidthMbps)
+	hdrNs := 2 * costmodel.WANTransferNs(96, waBandwidthMbps)
 	localNs := float64(30 * sim.Microsecond)
-	reads := cfg.UsedBlocks * cfg.Reuse
-	crossNs := costmodel.FedCrossoverLatencyNs(reads, cfg.FileBlocks, serNs, hdrNs, localNs)
+	reads := waUsedBlocks * waReuse
+	crossNs := costmodel.FedCrossoverLatencyNs(reads, waFileBlocks, serNs, hdrNs, localNs)
 
 	for _, lat := range cfg.Latencies {
 		var cell [2]float64
@@ -124,7 +99,7 @@ func WideAreaStudy(cfg WideAreaConfig) (Report, []WARow, float64, error) {
 		}
 		rttNs := float64(2 * lat)
 		pr := costmodel.FedRefetchNs(reads*cfg.Files, rttNs, serNs, hdrNs) / 1e6
-		pc := float64(cfg.Files) * costmodel.FedCachedNs(reads, cfg.FileBlocks, rttNs, serNs, hdrNs, localNs) / 1e6
+		pc := float64(cfg.Files) * costmodel.FedCachedNs(reads, waFileBlocks, rttNs, serNs, hdrNs, localNs) / 1e6
 		rows = append(rows, WARow{
 			Latency:      lat,
 			RefetchMs:    cell[0],
@@ -154,7 +129,7 @@ func WideAreaStudy(cfg WideAreaConfig) (Report, []WARow, float64, error) {
 		Title: "NOW of NOWs: lease-warmed cross-cluster caching vs per-read home fetch, 1–100 ms WAN",
 		Table: table,
 		Notes: fmt.Sprintf("%d files × %d-block warmup, %d blocks read ×%d on a %.0f Mb/s WAN; closed-form crossover at %.1f ms one-way",
-			cfg.Files, cfg.FileBlocks, cfg.UsedBlocks, cfg.Reuse, cfg.BandwidthMbps, crossNs/1e6),
+			cfg.Files, waFileBlocks, waUsedBlocks, waReuse, waBandwidthMbps, crossNs/1e6),
 		Obs: regs,
 	}, rows, crossNs, nil
 }
@@ -171,16 +146,16 @@ func winner(caching bool) string {
 func waOne(cfg WideAreaConfig, lat sim.Duration, cached bool) (float64, *obs.Registry, error) {
 	f, err := federation.New(federation.Config{
 		Clusters: []federation.ClusterConfig{
-			{Name: "home", XFSNodes: cfg.XFSNodes},
+			{Name: "home", XFSNodes: waXFSNodes},
 			{Name: "reader"},
 		},
-		WAN: federation.WANConfig{Latency: lat, BandwidthMbps: cfg.BandwidthMbps},
+		WAN: federation.WANConfig{Latency: lat, BandwidthMbps: waBandwidthMbps},
 		FedFS: federation.FSConfig{
-			FileBlocks:  cfg.FileBlocks,
-			CacheBlocks: cfg.Files*cfg.FileBlocks + 16,
+			FileBlocks:  waFileBlocks,
+			CacheBlocks: cfg.Files*waFileBlocks + 16,
 			NoCache:     !cached,
 		},
-		Seed: cfg.Seed,
+		Seed: waSeed,
 	})
 	if err != nil {
 		return 0, nil, err
@@ -193,12 +168,12 @@ func waOne(cfg WideAreaConfig, lat sim.Duration, cached bool) (float64, *obs.Reg
 
 	home.Engine().Spawn("wa1.seed", func(p *sim.Proc) {
 		w := home.FS.Client(0)
-		data := make([]byte, xfs.DefaultConfig(cfg.XFSNodes).BlockBytes)
+		data := make([]byte, xfs.DefaultConfig(waXFSNodes).BlockBytes)
 		for i := range data {
 			data[i] = byte(i)
 		}
 		for file := 0; file < cfg.Files; file++ {
-			for blk := 0; blk < cfg.FileBlocks; blk++ {
+			for blk := 0; blk < waFileBlocks; blk++ {
 				if err := w.Write(p, xfs.FileID(file+1), uint32(blk), data); err != nil {
 					home.Engine().Fail(fmt.Errorf("seed %d/%d: %w", file, blk, err))
 					return
@@ -215,11 +190,11 @@ func waOne(cfg WideAreaConfig, lat sim.Duration, cached bool) (float64, *obs.Reg
 	var elapsed sim.Duration
 	reader.Engine().Spawn("wa1.reader", func(p *sim.Proc) {
 		start.Wait(p)
-		stride := cfg.FileBlocks / cfg.UsedBlocks
+		stride := waFileBlocks / waUsedBlocks
 		t0 := p.Now()
 		for file := 0; file < cfg.Files; file++ {
-			for r := 0; r < cfg.Reuse; r++ {
-				for u := 0; u < cfg.UsedBlocks; u++ {
+			for r := 0; r < waReuse; r++ {
+				for u := 0; u < waUsedBlocks; u++ {
 					if _, err := reader.FedFS().Read(p, xfs.FileID(file+1), uint32(u*stride)); err != nil {
 						reader.Engine().Fail(fmt.Errorf("read %d/%d: %w", file, u*stride, err))
 						return

@@ -11,7 +11,7 @@ import (
 // re-fetch from home — and the measured crossover brackets the closed-
 // form prediction.
 func TestWideAreaCrossover(t *testing.T) {
-	cfg := QuickWideAreaConfig()
+	cfg := studyConfig[WideAreaConfig](t, "WA1", true)
 	_, rows, crossNs, err := WideAreaStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestWideAreaCrossover(t *testing.T) {
 // TestWideAreaDeterminism: the quick sweep twice must agree cell for
 // cell — the whole study is one deterministic federation per cell.
 func TestWideAreaDeterminism(t *testing.T) {
-	cfg := QuickWideAreaConfig()
+	cfg := studyConfig[WideAreaConfig](t, "WA1", true)
 	cfg.Latencies = cfg.Latencies[:2]
 	_, r1, _, err := WideAreaStudy(cfg)
 	if err != nil {

@@ -91,14 +91,6 @@ func (cs *Coscheduler) Stop() {
 	cs.apply()
 }
 
-// CurrentJob returns the class owning the current slot ("" when idle).
-func (cs *Coscheduler) CurrentJob() string {
-	if len(cs.jobs) == 0 {
-		return ""
-	}
-	return cs.jobs[cs.slot]
-}
-
 func (cs *Coscheduler) apply() {
 	if len(cs.jobs) == 0 {
 		for _, c := range cs.cpus {

@@ -86,6 +86,3 @@ func (d *Daemon) onExec(p *sim.Proc, m am.Msg) (any, int) {
 	}
 	return true, 1
 }
-
-// UserActive reports the daemon's current view of its console.
-func (d *Daemon) UserActive() bool { return d.userActive }

@@ -170,9 +170,6 @@ func newPart(se *sim.ShardedEngine, cfg Config, pm PartitionMap, p int) (*Fabric
 // to it exactly as they would to an unsharded fabric.
 func (sf *ShardedFabric) Part(p int) *Fabric { return sf.parts[p] }
 
-// Map returns the partition map.
-func (sf *ShardedFabric) Map() PartitionMap { return sf.pm }
-
 // Nodes returns the total node count across partitions.
 func (sf *ShardedFabric) Nodes() int { return sf.pm.NumNodes() }
 

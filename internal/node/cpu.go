@@ -89,16 +89,11 @@ func (c *CPU) ComputeSystem(p *sim.Proc, d sim.Duration) {
 }
 
 // SetFilter installs (or clears, with nil) the eligibility filter. The
-// dispatcher re-evaluates eligibility at the next slice boundary; the
-// caller may also Kick to preempt immediately.
+// dispatcher re-evaluates eligibility at the next slice boundary.
 func (c *CPU) SetFilter(f func(class string) bool) {
 	c.filter = f
 	c.work.Broadcast()
 }
-
-// Kick wakes the dispatcher, e.g. after a filter change while the CPU
-// idles on ineligible work.
-func (c *CPU) Kick() { c.work.Broadcast() }
 
 // eligible applies the filter. The empty class is the system class
 // (daemons, protocol processing) and is always schedulable, like kernel
@@ -193,9 +188,6 @@ func (c *CPU) runTask(p *sim.Proc, t *cpuTask) {
 		return
 	}
 }
-
-// RunnableLen returns the number of queued (not running) tasks.
-func (c *CPU) RunnableLen() int { return len(c.queue) }
 
 // BusyTime returns the total CPU time consumed by tasks, including
 // interrupt-context (system) work.

@@ -61,12 +61,6 @@ func (m *Memory) Touch(page PageID, write bool) (fault bool, victim PageID, vict
 	return true, vk, vd, ev
 }
 
-// Evict removes page, reporting whether it was resident and dirty.
-func (m *Memory) Evict(page PageID) (wasResident, wasDirty bool) {
-	d, ok := m.frames.Remove(page)
-	return ok, ok && d
-}
-
 // Resize changes the frame pool (e.g. GLUnix reserving memory for the
 // interactive user), returning pages evicted oldest-first.
 func (m *Memory) Resize(frames int) []PageID {

@@ -113,10 +113,6 @@ func (s *Store) onWrite(p *sim.Proc, m am.Msg) (any, int) {
 	return true, 8
 }
 
-// Chunks reports how many distinct chunks this store holds (testing and
-// rebuild verification).
-func (s *Store) Chunks() int { return len(s.chunks) }
-
 // Config shapes an array.
 type Config struct {
 	// Level is the redundancy scheme.

@@ -425,6 +425,3 @@ func (c *Client) Sync(p *sim.Proc) error {
 // Array exposes the client's RAID view (failure-injection tests mark
 // stores failed through it).
 func (c *Client) Array() *swraid.Array { return c.array }
-
-// CacheLen reports resident blocks (tests).
-func (c *Client) CacheLen() int { return c.cache.Len() }

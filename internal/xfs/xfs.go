@@ -281,15 +281,6 @@ func (sys *System) Fabric() *netsim.Fabric { return sys.fab }
 // Managers returns the size of the manager set.
 func (sys *System) Managers() int { return len(sys.managers) }
 
-// ManagerNode returns the node currently hosting manager idx (it moves
-// on failover).
-func (sys *System) ManagerNode(idx int) int {
-	if idx < 0 || idx >= len(sys.managers) {
-		return -1
-	}
-	return sys.managers[idx].node
-}
-
 // SpareNodeIDs lists the configured hot-spare nodes: storage servers
 // outside the initial stripe group, available to RecoverStorage.
 func (sys *System) SpareNodeIDs() []int {
@@ -388,39 +379,6 @@ func (sys *System) HandoffManagers(node int) int {
 		sys.registerManagerHandlers()
 	}
 	return moved
-}
-
-// DrainNode removes node from the installation gracefully: manager
-// roles hand off to standbys first, then — if the node is an active
-// stripe member — its data is reconstructed onto spare before the node
-// detaches. spare is ignored when the node holds no stripe data; pass
-// the next unconsumed hot spare (see faults.XFSTarget) otherwise.
-// This is the storage half of a control-plane drain.
-func (sys *System) DrainNode(p *sim.Proc, node, spare int) error {
-	if node < 0 || node >= len(sys.eps) {
-		return fmt.Errorf("xfs: drain node %d out of range", node)
-	}
-	if sys.down[node] {
-		return fmt.Errorf("xfs: node %d already removed", node)
-	}
-	sys.HandoffManagers(node)
-	inStripe := false
-	for _, m := range sys.StripeMembers() {
-		if m == node {
-			inStripe = true
-			break
-		}
-	}
-	// Removing the node marks its store failed in every layout; for a
-	// stripe member the rebuild below then reconstructs onto the spare.
-	sys.CrashStorage(node)
-	if !inStripe {
-		return nil
-	}
-	if spare < 0 || spare >= len(sys.eps) {
-		return fmt.Errorf("xfs: drain of stripe member %d needs a spare", node)
-	}
-	return sys.RecoverStorage(p, node, spare)
 }
 
 // managerOf maps a file to its manager index (the manager map).

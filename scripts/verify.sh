@@ -6,6 +6,33 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# gate [go test flags] PATTERN PKG... runs the tests PATTERN names and
+# fails unless every |-separated alternative of PATTERN matched at least
+# one test that ran and passed (a subtest pattern, one with a /, must
+# match at least one passing subtest). `go test -run X` exits 0 when X
+# matches nothing, so without this check a renamed test would silently
+# turn its step into a no-op.
+gate() {
+  local flags=()
+  while [[ $1 == -* ]]; do flags+=("$1"); shift; done
+  local pattern=$1; shift
+  local out alt
+  if ! out=$(go test -count=1 -v "${flags[@]}" -run "$pattern" "$@" 2>&1); then
+    echo "$out" | tail -n 60 >&2
+    exit 1
+  fi
+  local passed
+  passed=$(sed -n 's/^ *--- PASS: \([^ ]*\) .*/\1/p' <<<"$out")
+  local alts=("$pattern")
+  [[ $pattern == */* ]] || IFS='|' read -ra alts <<<"$pattern"
+  for alt in "${alts[@]}"; do
+    if ! grep -qE -- "$alt" <<<"$passed"; then
+      echo "verify: -run '$alt' matched no passing test in $*" >&2
+      exit 1
+    fi
+  done
+}
+
 echo "== public API surface (examples/ and cmd/ import rules)"
 scripts/apicheck.sh
 echo "== go build ./..."
@@ -25,52 +52,51 @@ go test -race -count=1 ./internal/stack/...
 echo "== go test -race ./internal/netsim/... ./internal/proto/... (incl. cross-shard handoff)"
 go test -race -count=1 ./internal/netsim/... ./internal/proto/...
 echo "== at-most-once ledger (AM watermark window, dedup property + fuzz seed corpus)"
-go test -count=1 -run 'TestAMAtMostOnceOutlivesLaterCalls|TestExactlyOnceUnderLossProperty|TestDedupProperty|FuzzDedup' ./internal/proto/am/ >/dev/null
+gate 'TestAMAtMostOnceOutlivesLaterCalls|TestExactlyOnceUnderLossProperty|TestDedupProperty|FuzzDedup' ./internal/proto/am/
 echo "== go test -race sharded experiments stack (engine+fabric+collectives end to end)"
-go test -race -count=1 -run 'TestSharded' ./internal/experiments/ >/dev/null
+gate -race 'TestSharded' ./internal/experiments/
 echo "== netsim fabric accounting regressions (drop-before-reserve, FIFO under fault churn)"
-go test -count=1 -run 'TestPartitionFloodDoesNotDelayHealthyTraffic|TestLinkFaultFIFOUnderChurn|TestPartitionDropsAndAccounts' ./internal/netsim/ >/dev/null
-echo "== observability golden determinism (byte-identical metrics across runs; Stats read-through: TestFuncMetricsReadThrough, TestMergedReadsFuncMetricsIntoStaticCopy, TestGaugesReadStatsLive; net.* derivation: TestShardedLossInvariant in the topology step)"
-go test -count=1 -run 'TestMetricsGoldenDeterminism' ./cmd/nowsim/ >/dev/null
-go test -count=1 -run 'TestEngineMetricsDeterministic' ./internal/sim/ >/dev/null
-go test -count=1 -run 'TestFuncMetricsReadThrough|TestDuplicateNamePanics|TestNilRegistryIsInert|TestGaugeFuncReadsAtSnapshot|TestMergedReadsFuncMetricsIntoStaticCopy' ./internal/obs/ >/dev/null
-go test -count=1 -run 'TestGaugesReadStatsLive' ./internal/coopcache/ ./internal/xfs/ >/dev/null
+gate 'TestPartitionFloodDoesNotDelayHealthyTraffic|TestLinkFaultFIFOUnderChurn|TestPartitionDropsAndAccounts' ./internal/netsim/
+echo "== observability golden determinism (byte-identical metrics across runs; Stats read-through: TestFuncMetricsReadThrough, TestMergedReadsFuncMetricsIntoStaticCopy, TestGaugesReadStatsLive, cp.cordoned census: TestCordonedGaugeIsCensus; net.* derivation: TestShardedLossInvariant in the topology step)"
+gate 'TestMetricsGoldenDeterminism' ./cmd/nowsim/
+gate 'TestEngineMetricsDeterministic' ./internal/sim/
+gate 'TestFuncMetricsReadThrough|TestDuplicateNamePanics|TestNilRegistryIsInert|TestGaugeFuncReadsAtSnapshot|TestMergedReadsFuncMetricsIntoStaticCopy' ./internal/obs/
+gate 'TestGaugesReadStatsLive' ./internal/coopcache/
+gate 'TestGaugesReadStatsLive' ./internal/xfs/
+gate 'TestCordonedGaugeIsCensus' ./internal/controlplane/
 echo "== fault-plan golden determinism (same plan -> byte-identical exports)"
-go test -count=1 -run 'TestFaultedRunGoldenDeterminism' ./cmd/nowsim/ >/dev/null
-go test -count=1 -run 'TestInjectorDeterministicExport' ./internal/faults/ >/dev/null
-echo "== collective golden determinism (32/128-rank runs + SC1 CLI export)"
-go test -count=1 -run 'TestDeterminismGolden32|TestDeterminismGolden128' ./internal/proto/collective/ >/dev/null
-go test -count=1 -run 'TestScaleStudyGoldenDeterminism' ./cmd/nowbench/ >/dev/null
+gate 'TestFaultedRunGoldenDeterminism' ./cmd/nowsim/
+gate 'TestInjectorDeterministicExport' ./internal/faults/
+echo "== study table goldens (every -quick report and metrics export pinned; the CLI writes the same bytes)"
+gate 'TestStudyTable' ./internal/experiments/
+gate 'TestStudyGoldens/(T[1-4]|F[1-4]|E[0-9]+|SC2|A[1-4])$' ./internal/experiments/
+gate 'TestRunCLIMatchesGolden|TestRunAblationSelection' ./cmd/nowbench/
+echo "== collective golden determinism (32/128-rank runs + SC1 golden, rerun and metric names)"
+gate 'TestDeterminismGolden32|TestDeterminismGolden128' ./internal/proto/collective/
+gate 'TestStudyGoldens/SC1$' ./internal/experiments/
 echo "== xFS pipelined data path golden determinism (ST2 byte-identical)"
-go test -count=1 -run 'TestSeqScanGoldenDeterminism' ./cmd/nowbench/ >/dev/null
-echo "== availability goldens (AV1 + AV2 match testdata byte for byte, remediation on beats off)"
-go test -count=1 -run 'TestRemediationGoldenDeterminism' ./cmd/nowbench/ >/dev/null
-go test -count=1 -run 'TestFaultStudyGolden|TestRemediationStudyImproves' ./internal/experiments/ >/dev/null
+gate 'TestStudyGoldens/ST2$' ./internal/experiments/
+echo "== availability goldens (AV1 + AV2 match testdata byte for byte, AV2 reruns identically, remediation on beats off)"
+gate 'TestStudyGoldens/AV[12]$' ./internal/experiments/
+gate 'TestRemediationStudyImproves' ./internal/experiments/
 echo "== topology study golden determinism (SC3 byte-identical, fabric conservation under loss)"
-go test -count=1 -run 'TestTopologyStudyGoldenDeterminism' ./cmd/nowbench/ >/dev/null
-go test -count=1 -run 'TestTopologyLatencyAndContention|TestShardedLossInvariant' ./internal/netsim/ >/dev/null
-go test -count=1 -run 'TestInNetValuesAcrossTopologies|TestEpochIsolationUnderRetryChurn' ./internal/proto/collective/ >/dev/null
+gate 'TestStudyGoldens/SC3$' ./internal/experiments/
+gate 'TestTopologyLatencyAndContention|TestShardedLossInvariant' ./internal/netsim/
+gate 'TestInNetValuesAcrossTopologies|TestEpochIsolationUnderRetryChurn' ./internal/proto/collective/
 echo "== cross-shard golden determinism (nowsim -shards 1/2/4/8 byte-identical)"
-go test -count=1 -run 'TestShardedRunGoldenDeterminism' ./cmd/nowsim/ >/dev/null
-go test -count=1 -run 'TestShardedTrafficDeterministicAcrossWorkers' ./internal/experiments/ >/dev/null
-go test -count=1 -run 'TestShardedDeterminismAcrossWorkers|TestShardedStopMidDrain' ./internal/sim/ >/dev/null
-echo "== scenario gate (parse every .scn, run shipped stories, diff golden reports)"
+gate 'TestShardedRunGoldenDeterminism' ./cmd/nowsim/
+gate 'TestShardedTrafficDeterministicAcrossWorkers' ./internal/experiments/
+gate 'TestShardedDeterminismAcrossWorkers|TestShardedStopMidDrain' ./internal/sim/
+echo "== scenario gate (parse every .scn, run shipped stories against their golden reports)"
 go run ./cmd/nowsim check examples/scenarios/*.scn >/dev/null
-for scn in examples/scenarios/*.scn; do
-  golden="${scn%.scn}.report.golden"
-  [ -f "$golden" ] || { echo "missing golden report for $scn" >&2; exit 1; }
-  # nowsim run exits 2 on any failed/unknown assertion; -e fails the gate.
-  go run ./cmd/nowsim run "$scn" | diff -u "$golden" - \
-    || { echo "scenario report drifted from $golden" >&2; exit 1; }
-done
-go test -count=1 -run 'TestScenarioRunGoldenDeterminism|TestScenarioShardedWorkerInvariance|TestOperatorScenarioShardsInvariance' ./cmd/nowsim/ >/dev/null
-go test -count=1 -run 'TestParsePrintIdentity|TestRunDeterminism|TestFederatedValidation|TestRunFederated' ./internal/scenario/ >/dev/null
+gate 'TestShippedScenarioGoldens|TestScenarioRunGoldenDeterminism|TestScenarioShardedWorkerInvariance|TestOperatorScenarioShardsInvariance' ./cmd/nowsim/
+gate 'TestParsePrintIdentity|TestRunDeterminism|TestFederatedValidation|TestRunFederated' ./internal/scenario/
 echo "== go test -race ./internal/federation/... (WAN gateways + lease recalls + spill under churn)"
 go test -race -count=1 ./internal/federation/...
 echo "== wide-area golden determinism (WA1 byte-identical, crossover pinned to the closed form, WAN at-most-once)"
-go test -count=1 -run 'TestWideAreaGoldenDeterminism' ./cmd/nowbench/ >/dev/null
-go test -count=1 -run 'TestWideAreaCrossover|TestWideAreaDeterminism' ./internal/experiments/ >/dev/null
-go test -count=1 -run 'TestFederatedDeterminismAcrossWorkers|TestWANAtMostOnceOutlivesLaterCalls|TestWANExactlyOnceUnderLossProperty' ./internal/federation/ >/dev/null
+gate 'TestStudyGoldens/WA1$' ./internal/experiments/
+gate 'TestWideAreaCrossover|TestWideAreaDeterminism' ./internal/experiments/
+gate 'TestFederatedDeterminismAcrossWorkers|TestWANAtMostOnceOutlivesLaterCalls|TestWANExactlyOnceUnderLossProperty' ./internal/federation/
 echo "== benchmark module (bench/ drives the simulator through the now facade only)"
 (cd bench && go vet ./... && go test -count=1 ./... >/dev/null)
 echo "verify: all checks passed"
