@@ -31,9 +31,10 @@ type ShardedTrafficConfig struct {
 	Seed     int64
 	Rounds   int
 	Barriers int
-	// BlockBytes is the request payload size.
-	BlockBytes int
 }
+
+// shardedBlockBytes is the request payload size of ShardedTraffic.
+const shardedBlockBytes = 1024
 
 // DefaultShardedTrafficConfig returns the nowsim -shards workload shape.
 func DefaultShardedTrafficConfig(nodes, workers int, seed int64) ShardedTrafficConfig {
@@ -45,13 +46,12 @@ func DefaultShardedTrafficConfig(nodes, workers int, seed int64) ShardedTrafficC
 		parts = 1
 	}
 	return ShardedTrafficConfig{
-		Nodes:      nodes,
-		Parts:      parts,
-		Workers:    workers,
-		Seed:       seed,
-		Rounds:     4,
-		Barriers:   4,
-		BlockBytes: 1024,
+		Nodes:    nodes,
+		Parts:    parts,
+		Workers:  workers,
+		Seed:     seed,
+		Rounds:   4,
+		Barriers: 4,
 	}
 }
 
@@ -78,14 +78,8 @@ func ShardedTraffic(cfg ShardedTrafficConfig) (ShardedTrafficResult, *obs.Regist
 	if cfg.Nodes < 2 {
 		return ShardedTrafficResult{}, nil, fmt.Errorf("sharded traffic: %d nodes", cfg.Nodes)
 	}
-	if cfg.Parts <= 0 {
-		cfg.Parts = 1
-	}
 	if cfg.Rounds < 0 || cfg.Barriers < 0 {
 		return ShardedTrafficResult{}, nil, fmt.Errorf("sharded traffic: negative workload")
-	}
-	if cfg.BlockBytes <= 0 {
-		cfg.BlockBytes = 1024
 	}
 	fcfg := netsim.Myrinet(cfg.Nodes)
 	se := sim.NewShardedEngine(sim.ShardedConfig{
@@ -169,7 +163,7 @@ func ShardedTraffic(cfg ShardedTrafficConfig) (ShardedTrafficResult, *obs.Regist
 					dst = (i + 1) % cfg.Nodes
 				}
 				pr.Sleep(sim.Duration(e.Rand().Intn(5)) * sim.Microsecond)
-				if _, err := eps[i].Call(pr, netsim.NodeID(dst), 0x10, r, cfg.BlockBytes); err != nil {
+				if _, err := eps[i].Call(pr, netsim.NodeID(dst), 0x10, r, shardedBlockBytes); err != nil {
 					failures[i] = fmt.Errorf("rank %d round %d: %w", i, r, err)
 					return
 				}

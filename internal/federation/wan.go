@@ -201,7 +201,7 @@ type Gateway struct {
 	m       wanMetrics
 
 	casts map[uint8]CastHandler
-	calls map[uint8]CallHandler
+	calls map[uint8]callHandler
 	// caller and callee are the gateway's halves of the at-most-once
 	// ledger, keyed by peer cluster.
 	caller am.Caller[int, *pendingCall]
@@ -215,15 +215,24 @@ func newGateway(fed *Federation, cluster int, eng *sim.Engine, reg *obs.Registry
 		eng:     eng,
 		m:       newWANMetrics(reg),
 		casts:   map[uint8]CastHandler{},
-		calls:   map[uint8]CallHandler{},
+		calls:   map[uint8]callHandler{},
 	}
 }
 
 // HandleCast registers the one-way handler for id. Call before Run.
 func (g *Gateway) HandleCast(id uint8, fn CastHandler) { g.casts[id] = fn }
 
+// callHandler is a registered CallHandler with the name its server
+// processes run under, formatted once here rather than per call.
+type callHandler struct {
+	fn   CallHandler
+	name string
+}
+
 // HandleCall registers the RPC handler for id. Call before Run.
-func (g *Gateway) HandleCall(id uint8, fn CallHandler) { g.calls[id] = fn }
+func (g *Gateway) HandleCall(id uint8, fn CallHandler) {
+	g.calls[id] = callHandler{fn: fn, name: fmt.Sprintf("wan.h%02x", id)}
+}
 
 // Cast sends a one-way datagram of the given wire size to cluster dst.
 // Callable from any event or process on this cluster's engine.
@@ -311,14 +320,14 @@ func (g *Gateway) serve(m *wanMsg) {
 	if v != am.Execute {
 		return
 	}
-	fn := g.calls[m.handler]
-	if fn == nil {
+	h := g.calls[m.handler]
+	if h.fn == nil {
 		g.callee.Finish(m.src, m.seq, nil, 0)
 		g.reply(m.src, m.seq, nil, 0)
 		return
 	}
-	g.eng.Spawn(fmt.Sprintf("wan.h%02x", m.handler), func(p *sim.Proc) {
-		res, bytes := fn(p, m.src, m.payload)
+	g.eng.Spawn(h.name, func(p *sim.Proc) {
+		res, bytes := h.fn(p, m.src, m.payload)
 		g.callee.Finish(m.src, m.seq, res, bytes)
 		g.reply(m.src, m.seq, res, bytes)
 	})

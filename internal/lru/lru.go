@@ -22,14 +22,16 @@ type entry[K comparable, V any] struct {
 }
 
 // New creates an LRU cache holding at most capacity entries
-// (capacity must be positive).
+// (capacity must be positive). The table grows on first touch rather
+// than being sized to capacity up front: most caches in a large
+// simulated cluster (a node's page table, say) stay nearly empty.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	c := &Cache[K, V]{
 		capacity: capacity,
-		entries:  make(map[K]*entry[K, V], capacity),
+		entries:  make(map[K]*entry[K, V]),
 	}
 	c.head.prev = &c.head
 	c.head.next = &c.head
@@ -71,19 +73,24 @@ func (c *Cache[K, V]) Peek(k K) (V, bool) {
 
 // Put inserts or updates k, marking it most recently used. If the
 // insertion evicts the LRU entry, Put returns it with evicted=true.
+// A full cache reuses the evicted entry for k, so steady-state
+// replacement does not allocate.
 func (c *Cache[K, V]) Put(k K, v V) (evictedKey K, evictedVal V, evicted bool) {
 	if e, ok := c.entries[k]; ok {
 		e.val = v
 		c.moveToFront(e)
 		return evictedKey, evictedVal, false
 	}
+	var e *entry[K, V]
 	if len(c.entries) >= c.capacity {
-		lru := c.head.prev
-		c.unlink(lru)
-		delete(c.entries, lru.key)
-		evictedKey, evictedVal, evicted = lru.key, lru.val, true
+		e = c.head.prev
+		c.unlink(e)
+		delete(c.entries, e.key)
+		evictedKey, evictedVal, evicted = e.key, e.val, true
+	} else {
+		e = &entry[K, V]{}
 	}
-	e := &entry[K, V]{key: k, val: v}
+	e.key, e.val = k, v
 	c.entries[k] = e
 	c.linkFront(e)
 	return evictedKey, evictedVal, evicted

@@ -161,3 +161,23 @@ func TestNoEvictionWhenFitsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPutOnFullCacheDoesNotAllocate checks that replacement on a full
+// cache reuses the evicted entry instead of allocating a new one.
+func TestPutOnFullCacheDoesNotAllocate(t *testing.T) {
+	const capacity = 64
+	c := New[int, int](capacity)
+	k := 0
+	for ; k < 4*capacity; k++ {
+		c.Put(k, k)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, v, evicted := c.Put(k, k); !evicted || v != k-capacity {
+			t.Fatalf("Put(%d) evicted %d, %v; want %d, true", k, v, evicted, k-capacity)
+		}
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("Put on a full cache: %.2f allocs/op, want 0", allocs)
+	}
+}

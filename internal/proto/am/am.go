@@ -181,7 +181,7 @@ type Endpoint struct {
 	node     *node.Node
 	fab      *netsim.Fabric
 	id       netsim.NodeID
-	handlers map[HandlerID]Handler
+	handlers map[HandlerID]handler
 
 	tx *sim.Mailbox[*netsim.Packet]
 	rq *sim.Mailbox[*netsim.Packet]
@@ -223,7 +223,7 @@ func NewEndpoint(e *sim.Engine, n *node.Node, fab *netsim.Fabric, cfg Config) *E
 		node:        n,
 		fab:         fab,
 		id:          n.ID(),
-		handlers:    make(map[HandlerID]Handler),
+		handlers:    make(map[HandlerID]handler),
 		tx:          sim.NewMailbox[*netsim.Packet](e, fmt.Sprintf("am%d/tx", n.ID())),
 		rq:          sim.NewMailbox[*netsim.Packet](e, fmt.Sprintf("am%d/rq", n.ID())),
 		outstanding: make(map[netsim.NodeID]int),
@@ -262,9 +262,16 @@ func (ep *Endpoint) ChargeRecv(p *sim.Proc, payloadBytes int) {
 	ep.chargeCPU(p, ep.cfg.RecvOverhead+sim.Duration(payloadBytes)*ep.cfg.RecvPerByte)
 }
 
+// handler is a registered Handler with the name its worker processes
+// run under, formatted once here rather than per request.
+type handler struct {
+	fn   Handler
+	name string
+}
+
 // Register installs h for id. Re-registering replaces the handler.
 func (ep *Endpoint) Register(id HandlerID, h Handler) {
-	ep.handlers[id] = h
+	ep.handlers[id] = handler{fn: h, name: fmt.Sprintf("am%d/h%d", ep.id, id)}
 }
 
 // Detach disconnects the endpoint (simulating a crashed node): incoming
@@ -544,13 +551,16 @@ func (ep *Endpoint) handleRequest(p *sim.Proc, pkt *netsim.Packet, w *wire) {
 		}
 		return
 	}
-	h := ep.handlers[w.handler]
+	h, ok := ep.handlers[w.handler]
+	if !ok {
+		h.name = "am/unregistered"
+	}
 	srcPort := pkt.SrcPort
-	ep.eng.Spawn(fmt.Sprintf("am%d/h%d", ep.id, w.handler), func(wp *sim.Proc) {
+	ep.eng.Spawn(h.name, func(wp *sim.Proc) {
 		var reply any
 		replyBytes := 0
-		if h != nil {
-			reply, replyBytes = h(wp, Msg{Src: src, Arg: w.arg, Bytes: w.bytes})
+		if h.fn != nil {
+			reply, replyBytes = h.fn(wp, Msg{Src: src, Arg: w.arg, Bytes: w.bytes})
 		}
 		ep.stats.Handled++
 		ep.dedup.Finish(src, w.seq, reply, replyBytes)

@@ -26,10 +26,14 @@ var ErrStopped = errors.New("sim: engine stopped")
 // (see Proc), which is what keeps process switches down to at most one
 // channel handoff.
 type Engine struct {
-	now     Time
-	limit   Time
-	heap    eventHeap
-	runq    eventRing
+	now   Time
+	limit Time
+	heap  eventHeap
+	// runq holds the events due exactly now (Yield, zero-delay After,
+	// wakes granted by Put/Release/Fire). The clock cannot move while
+	// they are pending and seq grows monotonically, so their FIFO order
+	// is (at, seq) order and they bypass the heap.
+	runq    queue[*event]
 	free    []*event
 	seq     uint64
 	rng     *rand.Rand
@@ -121,7 +125,6 @@ func (e *Engine) recycle(ev *event) {
 	ev.afn = nil
 	ev.arg = nil
 	ev.proc = nil
-	ev.index = posPopped
 	e.free = append(e.free, ev)
 }
 
@@ -221,7 +224,7 @@ func (e *Engine) dispatch(self *Proc) (wake, dispatchResult) {
 			// Same-time events dispatch FIFO, but an event scheduled
 			// earlier (lower seq) for exactly this time may still sit in
 			// the heap; (at, seq) order decides.
-			ev = e.runq.peek()
+			ev = *e.runq.at(0)
 			if len(e.heap.items) > 0 {
 				if h := e.heap.items[0]; h.at == e.now && h.seq < ev.seq {
 					ev = e.heap.pop()
@@ -351,7 +354,7 @@ func (e *Engine) Pending() int { return e.heap.len() + e.runq.len() }
 // after the last real event, which would force a windowed run to crawl
 // through millions of empty lookahead windows.
 func (e *Engine) NextLive() Time {
-	for e.runq.n > 0 && e.runq.peek().cancelled {
+	for e.runq.n > 0 && (*e.runq.at(0)).cancelled {
 		e.stat.cancelled++
 		e.recycle(e.runq.pop())
 	}

@@ -1,12 +1,5 @@
 package sim
 
-// Sentinel values for event.index encoding where an event currently
-// lives. Non-negative means "at this position in the time-ordered heap".
-const (
-	posPopped = -1 // popped, free, or recycled
-	posRunq   = -2 // queued in the engine's same-time run queue
-)
-
 // event is a scheduled callback. Events are ordered by (at, seq): the
 // sequence number breaks ties deterministically in FIFO order of
 // scheduling, which is what makes runs reproducible.
@@ -24,7 +17,6 @@ type event struct {
 	proc      *Proc     // typed wake fast path: resume proc directly, no closure
 	timeout   bool      // wake carries the timeout flag (deadline fired)
 	cancelled bool
-	index     int
 }
 
 // Timer is a handle to a scheduled event that can be cancelled before it
@@ -76,9 +68,8 @@ type eventHeap struct {
 func (h *eventHeap) len() int { return len(h.items) }
 
 func (h *eventHeap) push(ev *event) {
-	ev.index = len(h.items)
 	h.items = append(h.items, ev)
-	h.up(ev.index)
+	h.up(len(h.items) - 1)
 }
 
 func (h *eventHeap) pop() *event {
@@ -89,10 +80,8 @@ func (h *eventHeap) pop() *event {
 	h.items = h.items[:n-1]
 	if n > 1 {
 		h.items[0] = last
-		last.index = 0
 		h.down(0)
 	}
-	top.index = posPopped
 	return top
 }
 
@@ -117,11 +106,9 @@ func (h *eventHeap) up(i int) {
 			break
 		}
 		items[i] = p
-		p.index = i
 		i = pi
 	}
 	items[i] = ev
-	ev.index = i
 }
 
 func (h *eventHeap) down(i int) {
@@ -147,9 +134,7 @@ func (h *eventHeap) down(i int) {
 			break
 		}
 		items[i] = bestEv
-		bestEv.index = i
 		i = best
 	}
 	items[i] = ev
-	ev.index = i
 }

@@ -9,14 +9,16 @@ package sim
 type Mailbox[T any] struct {
 	eng     *Engine
 	name    string
-	items   []T
-	waiters []*mboxWaiter[T]
+	items   queue[T]
+	waiters queue[*Proc]
+	// handed holds the values Put gave to woken receivers that have not
+	// run yet. Each receiver takes its own entry when it resumes.
+	handed queue[handoff[T]]
 }
 
-type mboxWaiter[T any] struct {
-	p     *Proc
-	val   T
-	timer Timer
+type handoff[T any] struct {
+	p *Proc
+	v T
 }
 
 // NewMailbox creates an empty mailbox on e.
@@ -27,15 +29,13 @@ func NewMailbox[T any](e *Engine, name string) *Mailbox[T] {
 // Put deposits v, waking the longest-waiting receiver if any. It never
 // blocks and may be called from event callbacks as well as processes.
 func (m *Mailbox[T]) Put(v T) {
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		w.timer.Stop()
-		w.val = v
-		m.eng.wakeProcAt(m.eng.now, w.p)
+	if m.waiters.len() > 0 {
+		p := m.waiters.pop()
+		m.handed.push(handoff[T]{p: p, v: v})
+		p.grant()
 		return
 	}
-	m.items = append(m.items, v)
+	m.items.push(v)
 }
 
 // Get blocks p until an item is available and returns it.
@@ -51,52 +51,36 @@ func (m *Mailbox[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 }
 
 func (m *Mailbox[T]) getDeadline(p *Proc, d Duration) (v T, ok bool) {
-	if len(m.items) > 0 {
-		v = m.items[0]
-		var zero T
-		m.items[0] = zero
-		m.items = m.items[1:]
-		return v, true
+	if m.items.len() > 0 {
+		return m.items.pop(), true
 	}
-	w := &mboxWaiter[T]{p: p}
-	m.waiters = append(m.waiters, w)
-	if d >= 0 {
-		w.timer = m.eng.procTimeoutAfter(d, p)
-	}
-	tok := p.park()
-	if tok.timeout {
-		// The deadline fired before Put reached us: leave the queue.
-		// Nothing ran between the timeout wake and here, so the waiter
-		// is still in the list.
-		m.removeWaiter(w)
+	m.waiters.push(p)
+	if p.parkWait(d) {
+		removeProc(&m.waiters, p)
 		return v, false
 	}
-	return w.val, true
+	// Woken receivers run in the order Put woke them, so p's entry is
+	// normally the front one.
+	for i := 0; i < m.handed.len(); i++ {
+		if h := m.handed.at(i); h.p == p {
+			v = h.v
+			m.handed.removeAt(i)
+			return v, true
+		}
+	}
+	panic("sim: mailbox " + m.name + ": receiver woken without a value")
 }
 
 // TryGet returns an item without blocking; ok reports success.
 func (m *Mailbox[T]) TryGet() (v T, ok bool) {
-	if len(m.items) == 0 {
+	if m.items.len() == 0 {
 		return v, false
 	}
-	v = m.items[0]
-	var zero T
-	m.items[0] = zero
-	m.items = m.items[1:]
-	return v, true
+	return m.items.pop(), true
 }
 
 // Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return m.items.len() }
 
 // Waiting returns the number of blocked receivers.
-func (m *Mailbox[T]) Waiting() int { return len(m.waiters) }
-
-func (m *Mailbox[T]) removeWaiter(w *mboxWaiter[T]) {
-	for i, q := range m.waiters {
-		if q == w {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-			return
-		}
-	}
-}
+func (m *Mailbox[T]) Waiting() int { return m.waiters.len() }

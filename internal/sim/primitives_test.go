@@ -269,8 +269,13 @@ func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 	}
 	e.Spawn("send", func(p *Proc) {
 		p.Sleep(Microsecond)
-		for i := 1; i <= 3; i++ {
+		for i := 1; i <= 4; i++ {
 			mb.Put(i)
+		}
+		// The first three values went to the woken receivers, which
+		// have not run yet; only the fourth is left to take.
+		if v, ok := mb.TryGet(); !ok || v != 4 {
+			t.Errorf("TryGet after handoffs = %d, %v; want 4, true", v, ok)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -460,5 +465,48 @@ func TestMailboxExactlyOnceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWaitsDoNotAllocate pins the allocation-free wait queues: in
+// steady state a blocking Mailbox round trip and a Signal wait/fire
+// cycle between two processes allocate nothing.
+func TestWaitsDoNotAllocate(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Close()
+	req, rsp := NewMailbox[int](e, "req"), NewMailbox[int](e, "rsp")
+	ping, pong := NewSignal(e, "ping"), NewSignal(e, "pong")
+	stop := false
+	e.Spawn("server", func(p *Proc) {
+		for {
+			rsp.Put(req.Get(p) + 1)
+			ping.Wait(p)
+			pong.Fire()
+		}
+	})
+	e.Spawn("client", func(p *Proc) {
+		for i := 0; !stop; i++ {
+			req.Put(i)
+			if got := rsp.Get(p); got != i+1 {
+				t.Errorf("round trip %d returned %d", i, got)
+				return
+			}
+			ping.Fire()
+			pong.Wait(p)
+			p.Sleep(Microsecond)
+		}
+	})
+	// Run past the spawns (which allocate the procs) into steady state.
+	if err := e.RunUntil(e.Now() + 10*Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := e.RunUntil(e.Now() + 20*Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	})
+	stop = true
+	if allocs != 0 {
+		t.Fatalf("Mailbox/Signal waits allocated %.2f times per 20 round trips, want 0", allocs)
 	}
 }

@@ -33,6 +33,11 @@ type Proc struct {
 	resume  chan wake
 	done    bool
 	driving bool // this goroutine holds the driver token
+	// waitTimer is the deadline of the Mailbox, Signal or Resource wait
+	// the process is parked in (zero when the wait has none). A process
+	// parks on at most one primitive at a time, so the wait queues hold
+	// bare *Proc values and keep no per-wait record of their own.
+	waitTimer Timer
 }
 
 // Spawn starts body as a new simulated process at the current virtual
@@ -109,6 +114,25 @@ func (p *Proc) park() wake {
 		panic(killSentinel{})
 	}
 	return w
+}
+
+// parkWait parks p, already queued on a wait primitive, until a grant
+// or the deadline d (none when d < 0) wakes it, and reports whether the
+// deadline fired first. A timed-out process is still on its queue: a
+// grant would have stopped the timer.
+func (p *Proc) parkWait(d Duration) (timedOut bool) {
+	p.waitTimer = Timer{}
+	if d >= 0 {
+		p.waitTimer = p.eng.procTimeoutAfter(d, p)
+	}
+	return p.park().timeout
+}
+
+// grant wakes p, parked in parkWait, at the current time and cancels its
+// deadline.
+func (p *Proc) grant() {
+	p.waitTimer.Stop()
+	p.eng.wakeProcAt(p.eng.now, p)
 }
 
 // kill tears the process down during Engine.Close. The wake carries no

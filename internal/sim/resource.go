@@ -9,7 +9,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*resWaiter
+	queue    queue[resWaiter]
 
 	// Usage accounting for utilisation reports.
 	busy       Time // integral of inUse over time, in unit·ns
@@ -18,9 +18,8 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	p     *Proc
-	n     int
-	timer Timer
+	p *Proc
+	n int
 }
 
 // NewResource creates a resource with the given capacity (units > 0).
@@ -41,7 +40,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue.len() }
 
 func (r *Resource) account() {
 	now := r.eng.Now()
@@ -67,22 +66,15 @@ func (r *Resource) acquireDeadline(p *Proc, n int, d Duration) bool {
 	if n <= 0 || n > r.capacity {
 		r.eng.invariant(false, "resource %s: acquire %d of %d", r.name, n, r.capacity)
 	}
-	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
+	if r.queue.len() == 0 && r.inUse+n <= r.capacity {
 		r.account()
 		r.inUse += n
 		r.acquires++
 		return true
 	}
-	w := &resWaiter{p: p, n: n}
-	r.queue = append(r.queue, w)
-	if d >= 0 {
-		w.timer = r.eng.procTimeoutAfter(d, p)
-	}
-	tok := p.park()
-	if tok.timeout {
-		// Deadline fired before a grant: dequeue ourselves (a grant would
-		// have cancelled the timer, so we are still queued).
-		r.remove(w)
+	r.queue.push(resWaiter{p: p, n: n})
+	if p.parkWait(d) {
+		r.remove(p)
 		return false
 	}
 	return true
@@ -99,24 +91,23 @@ func (r *Resource) Release(n int) {
 }
 
 func (r *Resource) grant() {
-	for len(r.queue) > 0 {
-		w := r.queue[0]
+	for r.queue.len() > 0 {
+		w := *r.queue.at(0)
 		if r.inUse+w.n > r.capacity {
 			return
 		}
-		r.queue = r.queue[1:]
-		w.timer.Stop()
+		r.queue.pop()
 		r.account()
 		r.inUse += w.n
 		r.acquires++
-		r.eng.wakeProcAt(r.eng.now, w.p)
+		w.p.grant()
 	}
 }
 
-func (r *Resource) remove(w *resWaiter) {
-	for i, q := range r.queue {
-		if q == w {
-			r.queue = append(r.queue[:i], r.queue[i+1:]...)
+func (r *Resource) remove(p *Proc) {
+	for i := 0; i < r.queue.len(); i++ {
+		if r.queue.at(i).p == p {
+			r.queue.removeAt(i)
 			return
 		}
 	}

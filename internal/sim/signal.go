@@ -7,12 +7,7 @@ package sim
 type Signal struct {
 	eng     *Engine
 	name    string
-	waiters []*sigWaiter
-}
-
-type sigWaiter struct {
-	p     *Proc
-	timer Timer
+	waiters queue[*Proc]
 }
 
 // NewSignal creates a signal on e.
@@ -32,16 +27,9 @@ func (s *Signal) WaitTimeout(p *Proc, d Duration) bool {
 }
 
 func (s *Signal) waitDeadline(p *Proc, d Duration) bool {
-	w := &sigWaiter{p: p}
-	s.waiters = append(s.waiters, w)
-	if d >= 0 {
-		w.timer = s.eng.procTimeoutAfter(d, p)
-	}
-	tok := p.park()
-	if tok.timeout {
-		// Deadline fired before Fire/Broadcast reached us; a release
-		// would have cancelled the timer, so we are still in the list.
-		s.removeWaiter(w)
+	s.waiters.push(p)
+	if p.parkWait(d) {
+		removeProc(&s.waiters, p)
 		return false
 	}
 	return true
@@ -49,39 +37,20 @@ func (s *Signal) waitDeadline(p *Proc, d Duration) bool {
 
 // Fire releases the longest-waiting process, if any.
 func (s *Signal) Fire() {
-	if len(s.waiters) == 0 {
-		return
+	if s.waiters.len() > 0 {
+		s.waiters.pop().grant()
 	}
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	s.release(w)
 }
 
 // Broadcast releases every waiting process in FIFO order.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		s.release(w)
+	for s.waiters.len() > 0 {
+		s.waiters.pop().grant()
 	}
-}
-
-func (s *Signal) release(w *sigWaiter) {
-	w.timer.Stop()
-	s.eng.wakeProcAt(s.eng.now, w.p)
 }
 
 // Waiting returns the number of parked waiters.
-func (s *Signal) Waiting() int { return len(s.waiters) }
-
-func (s *Signal) removeWaiter(w *sigWaiter) {
-	for i, q := range s.waiters {
-		if q == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
-		}
-	}
-}
+func (s *Signal) Waiting() int { return s.waiters.len() }
 
 // WaitGroup counts outstanding activities and lets a process wait for
 // the count to drain — the simulated analogue of sync.WaitGroup, used by
@@ -89,12 +58,12 @@ func (s *Signal) removeWaiter(w *sigWaiter) {
 type WaitGroup struct {
 	eng   *Engine
 	count int
-	sig   *Signal
+	sig   Signal
 }
 
 // NewWaitGroup creates a WaitGroup on e.
 func NewWaitGroup(e *Engine, name string) *WaitGroup {
-	return &WaitGroup{eng: e, sig: NewSignal(e, name)}
+	return &WaitGroup{eng: e, sig: Signal{eng: e, name: name}}
 }
 
 // Add increments the counter by delta (which may be negative, as in

@@ -17,7 +17,7 @@ func (a *Array) parallel(p *sim.Proc, ops []func(wp *sim.Proc) error) []error {
 	wg.Add(len(ops))
 	for i, op := range ops {
 		i, op := i, op
-		p.Engine().Spawn(fmt.Sprintf("swraid/op%d", i), func(wp *sim.Proc) {
+		p.Engine().Spawn("swraid/op", func(wp *sim.Proc) {
 			defer wg.Done()
 			errs[i] = op(wp)
 		})
@@ -60,27 +60,24 @@ func (a *Array) writeChunk(p *sim.Proc, store netsim.NodeID, offset int64, data 
 
 // ReadChunks reads count logical chunks starting at logical index start,
 // in parallel across the stores, reconstructing through parity or
-// mirrors where stores have failed. It returns the concatenated data.
+// mirrors where stores have failed. It returns the concatenated data;
+// a single chunk is returned as read, shared with its store, so the
+// result is read-only.
 func (a *Array) ReadChunks(p *sim.Proc, start int64, count int) ([]byte, error) {
-	a.reads++
-	out := make([]byte, count*a.cfg.ChunkBytes)
-	ops := make([]func(wp *sim.Proc) error, count)
-	for i := 0; i < count; i++ {
-		i := i
-		logical := start + int64(i)
-		ops[i] = func(wp *sim.Proc) error {
-			data, err := a.readLogical(wp, logical)
-			if err != nil {
-				return err
-			}
-			copy(out[i*a.cfg.ChunkBytes:], data)
-			return nil
-		}
+	logicals := make([]int64, count)
+	for i := range logicals {
+		logicals[i] = start + int64(i)
 	}
-	for _, err := range a.parallel(p, ops) {
-		if err != nil {
-			return nil, err
-		}
+	chunks, err := a.ReadVec(p, logicals)
+	switch {
+	case err != nil:
+		return nil, err
+	case count == 1:
+		return chunks[0], nil
+	}
+	out := make([]byte, 0, count*a.cfg.ChunkBytes)
+	for _, c := range chunks {
+		out = append(out, c...)
 	}
 	return out, nil
 }
@@ -91,7 +88,8 @@ func (a *Array) ReadChunks(p *sim.Proc, start int64, count int) ([]byte, error) 
 // scatter counterpart of ReadChunks: a pipelined client hands the whole
 // batch over at once and the array schedules all disks in parallel, so
 // a stripe run completes in roughly one disk access rather than one per
-// chunk.
+// chunk. The returned chunks are shared with the stores (or, for a
+// reconstruction, the array's own buffer) and are read-only.
 func (a *Array) ReadVec(p *sim.Proc, logicals []int64) ([][]byte, error) {
 	if len(logicals) == 0 {
 		return nil, nil

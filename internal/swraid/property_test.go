@@ -2,6 +2,7 @@ package swraid
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,10 @@ import (
 // TestRandomOpsMatchReferenceModel drives the array with random chunk
 // writes and reads — injecting one store crash partway through — and
 // checks every read against a plain in-memory reference model. RAID-1
-// and RAID-5 must never return wrong data with a single failure.
+// and RAID-5 must never return wrong data with a single failure. At the
+// end the surviving stores' contents are checked host side against the
+// model too (checkStores), which catches a reader writing into a chunk
+// it shares with a store.
 func TestRandomOpsMatchReferenceModel(t *testing.T) {
 	const (
 		chunkBytes = 256
@@ -28,6 +32,7 @@ func TestRandomOpsMatchReferenceModel(t *testing.T) {
 				ref := make(map[int64][]byte)
 				crashAt := ops/3 + rng.Intn(ops/3)
 				crashed := false
+				dead := -1 // index into r.stores of the crashed store
 				r.run(t, func(p *sim.Proc) {
 					for op := 0; op < ops; op++ {
 						if op == crashAt && !crashed {
@@ -35,6 +40,7 @@ func TestRandomOpsMatchReferenceModel(t *testing.T) {
 							r.eps[victim].Detach()
 							r.arr.MarkFailed(r.eps[victim].ID())
 							crashed = true
+							dead = victim - 1
 						}
 						l := int64(rng.Intn(logical))
 						if rng.Intn(2) == 0 {
@@ -69,8 +75,62 @@ func TestRandomOpsMatchReferenceModel(t *testing.T) {
 						}
 					}
 				})
+				checkStores(t, r, ref, logical, dead)
 			})
 		}
+	}
+}
+
+// checkStores verifies, host side from Store.chunks, that every store
+// but dead holds what the reference model says: each data chunk and
+// RAID-1 mirror copy equals the model, and each RAID-5 stripe's parity
+// equals the XOR of the model's data chunks. Reads share stored chunks
+// with their callers, so a consumer that wrote into a read result has
+// changed a stored chunk and fails here.
+func checkStores(t *testing.T, r *raidRig, ref map[int64][]byte, logical int64, dead int) {
+	t.Helper()
+	cb := r.arr.cfg.ChunkBytes
+	index := make(map[netsim.NodeID]int)
+	for i, id := range r.arr.cfg.Stores {
+		index[id] = i
+	}
+	want := func(l int64) []byte {
+		if c, ok := ref[l]; ok {
+			return c
+		}
+		return make([]byte, cb)
+	}
+	check := func(what string, store netsim.NodeID, off int64, want []byte) {
+		s := index[store]
+		if s == dead {
+			return
+		}
+		got, ok := r.stores[s].chunks[off]
+		if !ok {
+			got = make([]byte, cb)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s on store %d at offset %#x differs from the model", what, s, off)
+		}
+	}
+	for l := int64(0); l < logical; l++ {
+		node, off, _, _ := r.arr.layout(l)
+		check(fmt.Sprintf("chunk %d", l), node, off, want(l))
+		if r.arr.cfg.Level == RAID1 {
+			check(fmt.Sprintf("chunk %d mirror", l), r.arr.mirrorOf(l), mirrorOffset(off), want(l))
+		}
+	}
+	if r.arr.cfg.Level != RAID5 {
+		return
+	}
+	d := int64(r.arr.dataPerStripe())
+	for stripe := int64(0); stripe*d < logical; stripe++ {
+		parity := make([]byte, cb)
+		for l := stripe * d; l < (stripe+1)*d; l++ {
+			xorInto(parity, want(l))
+		}
+		_, off, _, parityNode := r.arr.layout(stripe * d)
+		check(fmt.Sprintf("stripe %d parity", stripe), parityNode, off, parity)
 	}
 }
 

@@ -10,6 +10,13 @@
 // tests verify end-to-end integrity through failures, not just timing.
 // Three layouts are provided: RAID0 striping, RAID1 chained-declustered
 // mirroring, and RAID5 rotating parity.
+//
+// Chunks are immutable once stored: a write stores a fresh copy and
+// never changes it afterwards. Reads therefore share them instead of
+// copying: a Store's read reply, a single-chunk ReadChunks and every
+// ReadVec element are the stored chunk itself (or a buffer of the
+// array's own, for a reconstruction). Callers must treat read results
+// as read-only and copy before changing them.
 package swraid
 
 import (
@@ -90,6 +97,9 @@ type chunkWriteArgs struct {
 	data   []byte
 }
 
+// onRead replies with the stored chunk itself, not a copy: onWrite
+// never changes a chunk once stored, so the reply is shared and
+// read-only.
 func (s *Store) onRead(p *sim.Proc, m am.Msg) (any, int) {
 	args := m.Arg.(chunkReadArgs)
 	// Sequential within a chunk; chunks are placed at their offsets so
@@ -99,11 +109,11 @@ func (s *Store) onRead(p *sim.Proc, m am.Msg) (any, int) {
 	if !ok {
 		data = make([]byte, args.length) // unwritten space reads as zeros
 	}
-	out := make([]byte, args.length)
-	copy(out, data)
-	return out, args.length
+	return data, args.length
 }
 
+// onWrite stores a private copy of the data: the writer may reuse its
+// buffer, and readers share the stored chunk.
 func (s *Store) onWrite(p *sim.Proc, m am.Msg) (any, int) {
 	args := m.Arg.(chunkWriteArgs)
 	s.ep.Node().Disk.WriteSeq(p, args.offset, len(args.data))

@@ -2,6 +2,7 @@ package xfs
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/nowproject/now/internal/sim"
@@ -169,4 +170,71 @@ func BenchmarkXFSSeqScan(b *testing.B) {
 	b.ReportMetric(serialMBps, "serial-MBps")
 	b.ReportMetric(pipelinedMBps, "pipelined-MBps")
 	b.ReportMetric(pipelinedMBps/serialMBps, "speedup")
+}
+
+// TestReadMissAllocBound bounds the host allocations of one steady-state
+// read miss: warm system, the block evicted from every cache, so the
+// read pays a manager token call and a RAID read. The block is copied
+// once, into the caller's buffer; a defensive copy creeping back into
+// the store, the array or the client cache breaks the byte bound.
+func TestReadMissAllocBound(t *testing.T) {
+	const (
+		blockBytes = 8192
+		blocks     = 64 // 4x the client cache: every cyclic re-read misses
+		// Measured at 97 objects and 13.7 KB (the block plus about
+		// 5.5 KB of protocol state) per read.
+		maxAllocs = 100
+		maxBytes  = 2 * blockBytes
+	)
+	cfg := DefaultConfig(6)
+	cfg.BlockBytes = blockBytes
+	cfg.ClientCacheBlocks = 16
+	e, sys := buildFSWith(t, cfg)
+	var allocs float64
+	var bytesPerRead, misses uint64
+	drive(t, e, func(p *sim.Proc) {
+		w, r := sys.Client(0), sys.Client(1)
+		for blk := uint32(0); blk < blocks; blk++ {
+			if err := w.Write(p, 1, blk, fill(blockBytes, byte(blk))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		// Drop the writer's clean copies so reads go to storage.
+		for blk := uint32(0); blk < 16; blk++ {
+			if _, err := w.Read(p, 2, blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := uint32(0)
+		read := func() {
+			if _, err := r.Read(p, 1, next%blocks); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for i := 0; i < 2*blocks; i++ {
+			read()
+		}
+		before := sys.Stats().StorageReads
+		allocs = testing.AllocsPerRun(blocks, read)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < blocks; i++ {
+			read()
+		}
+		runtime.ReadMemStats(&m1)
+		bytesPerRead = (m1.TotalAlloc - m0.TotalAlloc) / blocks
+		misses = uint64(sys.Stats().StorageReads - before)
+	})
+	if want := uint64(2*blocks + 1); misses != want {
+		t.Fatalf("%d of %d measured reads went to storage, want all", misses, want)
+	}
+	t.Logf("one read miss: %.0f allocs, %d bytes", allocs, bytesPerRead)
+	if allocs > maxAllocs || bytesPerRead > maxBytes {
+		t.Fatalf("one read miss allocated %.0f objects and %d bytes, bounds %d and %d",
+			allocs, bytesPerRead, maxAllocs, maxBytes)
+	}
 }

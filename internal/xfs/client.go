@@ -15,7 +15,9 @@ import (
 // lost beyond redundancy, or its manager unreachable).
 var ErrUnreadable = errors.New("xfs: block unreadable")
 
-// cachedBlock is a client-cache entry.
+// cachedBlock is a client-cache entry. A clean block's data may be
+// shared with a RAID store and is never written; a dirty block's data
+// is a buffer the client allocated, changed in place by later writes.
 type cachedBlock struct {
 	data  []byte
 	dirty bool // this client owns the block
@@ -314,7 +316,8 @@ func (c *Client) getLocal(key BlockKey) ([]byte, bool) {
 }
 
 // Read returns the block's contents, obtaining a read token and the
-// freshest copy from wherever it lives. When the configuration enables
+// freshest copy from wherever it lives. The returned slice is the
+// caller's own copy. When the configuration enables
 // read-ahead, a detected sequential run prefetches the next blocks
 // concurrently with the application (see pipeline.go).
 func (c *Client) Read(p *sim.Proc, f FileID, blk uint32) ([]byte, error) {

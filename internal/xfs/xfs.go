@@ -23,6 +23,14 @@
 // parity), so the tests verify coherence and recovery by value, not by
 // counters alone.
 //
+// A block is copied once on its way to the application, at the API
+// edge: Read and ReadAt return buffers the caller owns. Inside, a clean
+// cached block may share its bytes with the RAID store it was read from
+// (swraid read results are read-only). That is safe because the only
+// in-place changes, Write and WriteAt on a block the client already
+// owns, touch dirty blocks, and a dirty block's buffer is always one
+// the client allocated itself.
+//
 // System.Instrument attaches an internal/obs registry: operation and
 // coherence-traffic gauges plus an xfs.ownership.transfer span per
 // write-ownership migration (docs/OBSERVABILITY.md).

@@ -168,6 +168,62 @@ func TestSyncPersistsToStorage(t *testing.T) {
 	}
 }
 
+// TestReadResultIsCallersCopy checks the one copy Read makes at the API
+// edge: the client cache and the RAID store share a block's bytes, so a
+// caller writing into what Read returned must change neither. Re-reads
+// from the same client (a local hit), from a peer (a cache-to-cache
+// transfer) and from storage must all return the original bytes.
+func TestReadResultIsCallersCopy(t *testing.T) {
+	e, sys := buildFS(t, 6)
+	want := fill(1024, 5)
+	// evict pushes file 1 out of c's 16-block cache by reading 16 blocks
+	// of another file, and lets the eviction notes reach the manager.
+	evict := func(p *sim.Proc, c *Client) {
+		for i := uint32(0); i < 16; i++ {
+			if _, err := c.Read(p, 2, i); err != nil {
+				t.Error(err)
+			}
+		}
+		p.Sleep(10 * sim.Millisecond)
+	}
+	check := func(p *sim.Proc, c *Client, what string) {
+		got, err := c.Read(p, 1, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s returned changed bytes", what)
+		}
+		for i := range got {
+			got[i] ^= 0xff
+		}
+	}
+	drive(t, e, func(p *sim.Proc) {
+		if err := sys.Client(0).Write(p, 1, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Client(0).Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		evict(p, sys.Client(0))
+		reads := sys.Stats().StorageReads
+		check(p, sys.Client(1), "storage read")
+		if sys.Stats().StorageReads != reads+1 {
+			t.Errorf("first read did not go to storage: %+v", sys.Stats())
+		}
+		check(p, sys.Client(1), "local re-read")
+		check(p, sys.Client(2), "peer read")
+		evict(p, sys.Client(1))
+		evict(p, sys.Client(2))
+		reads = sys.Stats().StorageReads
+		check(p, sys.Client(3), "second storage read")
+		if sys.Stats().StorageReads != reads+1 {
+			t.Errorf("second storage read was served elsewhere: %+v", sys.Stats())
+		}
+	})
+}
+
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	e, sys := buildFS(t, 6)
 	drive(t, e, func(p *sim.Proc) {

@@ -64,6 +64,11 @@ gate 'TestFuncMetricsReadThrough|TestDuplicateNamePanics|TestNilRegistryIsInert|
 gate 'TestGaugesReadStatsLive' ./internal/coopcache/
 gate 'TestGaugesReadStatsLive' ./internal/xfs/
 gate 'TestCordonedGaugeIsCensus' ./internal/controlplane/
+echo "== shared read buffers and allocation bounds (Read returns the caller's copy, stored chunks match the model and parity host side, zero-alloc waits and LRU replacement, one read miss under its bound)"
+gate 'TestReadResultIsCallersCopy|TestReadMissAllocBound' ./internal/xfs/
+gate 'TestRandomOpsMatchReferenceModel' ./internal/swraid/
+gate 'TestWaitsDoNotAllocate' ./internal/sim/
+gate 'TestPutOnFullCacheDoesNotAllocate' ./internal/lru/
 echo "== fault-plan golden determinism (same plan -> byte-identical exports)"
 gate 'TestFaultedRunGoldenDeterminism' ./cmd/nowsim/
 gate 'TestInjectorDeterministicExport' ./internal/faults/
