@@ -11,11 +11,10 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 
 	now "github.com/nowproject/now"
 	"github.com/nowproject/now/internal/trace"
@@ -41,17 +40,17 @@ func run(args []string) error {
 		return err
 	}
 
-	var out *csv.Writer
+	var out *os.File
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		out = csv.NewWriter(f)
-		defer out.Flush()
+		out = f
 	}
 
+	var write func(w io.Writer) error
 	switch *kind {
 	case "activity":
 		cfg := trace.DefaultActivityConfig(*ws, *days)
@@ -64,16 +63,7 @@ func run(args []string) error {
 			fmt.Printf("  day %d: %.0f%% of machines fully idle 9am-5pm\n",
 				day, tr.FractionFullyIdle(from, to)*100)
 		}
-		if out != nil {
-			_ = out.Write([]string{"t_ns", "workstation", "active"})
-			for _, ev := range tr.Events {
-				_ = out.Write([]string{
-					strconv.FormatInt(int64(ev.T), 10),
-					strconv.Itoa(ev.WS),
-					strconv.FormatBool(ev.Active),
-				})
-			}
-		}
+		write = func(w io.Writer) error { return trace.WriteActivityCSV(w, tr) }
 	case "jobs":
 		cfg := trace.DefaultJobTraceConfig(now.Duration(*hours) * now.Hour)
 		cfg.Seed = *seed
@@ -89,18 +79,7 @@ func run(args []string) error {
 				fmt.Printf("  %2d-node jobs: %d\n", n, hist[n])
 			}
 		}
-		if out != nil {
-			_ = out.Write([]string{"id", "arrive_ns", "nodes", "work_ns", "grain_ns"})
-			for _, j := range jobs {
-				_ = out.Write([]string{
-					strconv.Itoa(j.ID),
-					strconv.FormatInt(int64(j.Arrive), 10),
-					strconv.Itoa(j.Nodes),
-					strconv.FormatInt(int64(j.Work), 10),
-					strconv.FormatInt(int64(j.CommGrain), 10),
-				})
-			}
-		}
+		write = func(w io.Writer) error { return trace.WriteJobsCSV(w, jobs) }
 	case "files":
 		cfg := trace.DefaultFileTraceConfig()
 		cfg.Accesses = *accesses
@@ -119,18 +98,7 @@ func run(args []string) error {
 		fmt.Printf("file trace: %d accesses, %d clients; %.0f%% shared, %.0f%% writes\n",
 			len(accs), cfg.Clients,
 			float64(sharedN)/float64(len(accs))*100, float64(writes)/float64(len(accs))*100)
-		if out != nil {
-			_ = out.Write([]string{"t_ns", "client", "file", "block", "write"})
-			for _, a := range accs {
-				_ = out.Write([]string{
-					strconv.FormatInt(int64(a.T), 10),
-					strconv.Itoa(a.Client),
-					strconv.FormatUint(uint64(a.File), 10),
-					strconv.FormatUint(uint64(a.Block), 10),
-					strconv.FormatBool(a.Write),
-				})
-			}
-		}
+		write = func(w io.Writer) error { return trace.WriteFileAccessCSV(w, accs) }
 	case "nfs":
 		ops := trace.GenerateNFS(trace.DefaultNFSTraceConfig())
 		small, total := 0, 0
@@ -145,18 +113,15 @@ func run(args []string) error {
 		}
 		fmt.Printf("NFS trace: %d operations; %.1f%% of messages under 200 bytes\n",
 			len(ops), float64(small)/float64(total)*100)
-		if out != nil {
-			_ = out.Write([]string{"request_bytes", "reply_bytes", "metadata"})
-			for _, op := range ops {
-				_ = out.Write([]string{
-					strconv.Itoa(op.RequestBytes),
-					strconv.Itoa(op.ReplyBytes),
-					strconv.FormatBool(op.Metadata),
-				})
-			}
-		}
+		write = func(w io.Writer) error { return trace.WriteNFSCSV(w, ops) }
 	default:
 		return fmt.Errorf("unknown trace kind %q", *kind)
 	}
-	return nil
+	if out == nil {
+		return nil
+	}
+	if err := write(out); err != nil {
+		return err
+	}
+	return out.Close()
 }

@@ -30,6 +30,19 @@ func TestCSVExport(t *testing.T) {
 	}
 }
 
+// TestCSVWriteErrorFails pins that a CSV export the disk cannot hold
+// fails the command instead of leaving a short file behind a zero exit.
+func TestCSVWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, kind := range []string{"activity", "jobs", "files", "nfs"} {
+		if err := run([]string{"-kind", kind, "-days", "1", "-hours", "2", "-accesses", "2000", "-csv", "/dev/full"}); err == nil {
+			t.Errorf("%s: write to /dev/full succeeded", kind)
+		}
+	}
+}
+
 func TestUnknownKind(t *testing.T) {
 	if err := run([]string{"-kind", "bogus"}); err == nil {
 		t.Fatal("unknown kind accepted")

@@ -23,7 +23,6 @@ func BenchmarkSnapshotStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = st.CP.Status()
-		_ = st.CP.Snapshot()
 		_ = st.CP.SpansSince(0)
 		if err := st.Registry.WriteMetricsJSON(io.Discard); err != nil {
 			b.Fatal(err)

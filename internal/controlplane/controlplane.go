@@ -116,15 +116,6 @@ func New(cfg Config) (*ControlPlane, error) {
 	return cp, nil
 }
 
-// Engine returns the engine the control plane operates on.
-func (cp *ControlPlane) Engine() *sim.Engine { return cp.cfg.Engine }
-
-// Registry returns the obs registry (may be nil).
-func (cp *ControlPlane) Registry() *obs.Registry { return cp.cfg.Registry }
-
-// Now returns the current virtual time.
-func (cp *ControlPlane) Now() sim.Time { return cp.cfg.Engine.Now() }
-
 // Nodes lists every workstation's status (the glunix census).
 func (cp *ControlPlane) Nodes() []NodeStatus {
 	cp.commands.Inc()
@@ -348,12 +339,6 @@ func (cp *ControlPlane) InjectLine(line string) error {
 	cp.cfg.Injector.Inject(f)
 	cp.live.Inc()
 	return nil
-}
-
-// Snapshot returns the current metrics (nil registry → nil).
-func (cp *ControlPlane) Snapshot() []obs.Metric {
-	cp.snapshots.Inc()
-	return cp.cfg.Registry.Snapshot()
 }
 
 // SpansSince returns spans started after id `after` (0 = all); the

@@ -353,10 +353,12 @@ func TestInjectLineGrammar(t *testing.T) {
 	}
 
 	runTo(t, st, 45*sim.Second)
-	if st.Cluster.Up(5) {
+	ws5, _ := st.Cluster.Master.WSInfo(5)
+	ws6, _ := st.Cluster.Master.WSInfo(6)
+	if ws5.Up {
 		t.Fatal("immediate crash 5 did not land")
 	}
-	if st.Cluster.Up(6) == false && st.Engine.Now() < 40*sim.Second {
+	if !ws6.Up && st.Engine.Now() < 40*sim.Second {
 		t.Fatal("timed crash 6 landed early")
 	}
 	if got := counter(t, st, "cp.faults.live"); got != 2 {

@@ -115,9 +115,6 @@ func (r *Remediator) SetEnabled(on bool) {
 	}
 }
 
-// Enabled reports whether remediation actions are live.
-func (r *Remediator) Enabled() bool { return r.enabled }
-
 // Start spawns the sweep proc. Call once, before or during the run.
 func (r *Remediator) Start() {
 	if r.started {

@@ -190,11 +190,11 @@ func TestServeThrottled(t *testing.T) {
 	}()
 
 	var t0, t1 sim.Time
-	if err := srv.Do(func() { t0 = st.CP.Now() }); err != nil {
+	if err := srv.Do(func() { t0 = st.Engine.Now() }); err != nil {
 		t.Fatalf("Do: %v", err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	if err := srv.Do(func() { t1 = st.CP.Now() }); err != nil {
+	if err := srv.Do(func() { t1 = st.Engine.Now() }); err != nil {
 		t.Fatalf("Do: %v", err)
 	}
 	if t1 <= t0 {

@@ -222,12 +222,6 @@ func New(e *sim.Engine, cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// Client returns client i's interface.
-func (sys *System) Client(i int) *client { return sys.clients[i] }
-
-// ResponseTimes returns the recorded per-read service times.
-func (sys *System) ResponseTimes() []sim.Duration { return sys.resp }
-
 // Stats returns the accumulated counters.
 func (sys *System) Stats() Stats { return sys.st }
 

@@ -45,7 +45,7 @@ func blk(f, b uint32) BlockID { return BlockID{File: f, Block: b} }
 func TestFirstReadGoesToDisk(t *testing.T) {
 	e, sys := build(t, smallConfig(ClientServer))
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(1, 0))
 	})
 	st := sys.Stats()
 	if st.DiskReads != 1 || st.LocalHits != 0 {
@@ -56,8 +56,8 @@ func TestFirstReadGoesToDisk(t *testing.T) {
 func TestSecondReadIsLocalHit(t *testing.T) {
 	e, sys := build(t, smallConfig(ClientServer))
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Read(p, blk(1, 0))
-		sys.Client(0).Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(1, 0))
 	})
 	st := sys.Stats()
 	if st.LocalHits != 1 || st.DiskReads != 1 {
@@ -68,8 +68,8 @@ func TestSecondReadIsLocalHit(t *testing.T) {
 func TestServerCacheServesSecondClient(t *testing.T) {
 	e, sys := build(t, smallConfig(ClientServer))
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Read(p, blk(1, 0))
-		sys.Client(1).Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(1, 0))
+		sys.clients[1].Read(p, blk(1, 0))
 	})
 	st := sys.Stats()
 	if st.DiskReads != 1 || st.ServerMemHits != 1 {
@@ -84,9 +84,9 @@ func TestForwardingServesFromPeerCache(t *testing.T) {
 	cfg.ServerCacheBlocks = 1 // server cache forgets immediately
 	e, sys := build(t, cfg)
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Read(p, blk(1, 0))
-		sys.Client(0).Read(p, blk(2, 0)) // pushes (1,0) out of server cache
-		sys.Client(1).Read(p, blk(1, 0)) // must come from client 0
+		sys.clients[0].Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(2, 0)) // pushes (1,0) out of server cache
+		sys.clients[1].Read(p, blk(1, 0)) // must come from client 0
 	})
 	st := sys.Stats()
 	if st.RemoteHits != 1 {
@@ -102,9 +102,9 @@ func TestClientServerNeverForwards(t *testing.T) {
 	cfg.ServerCacheBlocks = 1
 	e, sys := build(t, cfg)
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Read(p, blk(1, 0))
-		sys.Client(0).Read(p, blk(2, 0))
-		sys.Client(1).Read(p, blk(1, 0)) // server cache lost it: disk again
+		sys.clients[0].Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(2, 0))
+		sys.clients[1].Read(p, blk(1, 0)) // server cache lost it: disk again
 	})
 	st := sys.Stats()
 	if st.RemoteHits != 0 {
@@ -122,11 +122,11 @@ func TestRemoteHitFasterThanDisk(t *testing.T) {
 	var remoteTime, diskTime sim.Duration
 	drive(t, e, func(p *sim.Proc) {
 		start := p.Now()
-		sys.Client(0).Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(1, 0))
 		diskTime = p.Now() - start
-		sys.Client(0).Read(p, blk(2, 0))
+		sys.clients[0].Read(p, blk(2, 0))
 		start = p.Now()
-		sys.Client(1).Read(p, blk(1, 0))
+		sys.clients[1].Read(p, blk(1, 0))
 		remoteTime = p.Now() - start
 	})
 	if remoteTime >= diskTime {
@@ -148,7 +148,7 @@ func TestNChanceRecirculatesSinglets(t *testing.T) {
 	drive(t, e, func(p *sim.Proc) {
 		// Fill client 0 beyond capacity with distinct singlets.
 		for i := uint32(0); i < 8; i++ {
-			sys.Client(0).Read(p, blk(1, i))
+			sys.clients[0].Read(p, blk(1, i))
 		}
 	})
 	st := sys.Stats()
@@ -158,7 +158,7 @@ func TestNChanceRecirculatesSinglets(t *testing.T) {
 	// Recirculated blocks must live in some other client's cache.
 	found := 0
 	for i := 1; i < 4; i++ {
-		found += sys.Client(i).cache.Len()
+		found += len(sys.clients[i].cache.Keys())
 	}
 	if found == 0 {
 		t.Fatal("recirculated blocks not present in peer caches")
@@ -171,7 +171,7 @@ func TestGreedyDoesNotRecirculate(t *testing.T) {
 	e, sys := build(t, cfg)
 	drive(t, e, func(p *sim.Proc) {
 		for i := uint32(0); i < 8; i++ {
-			sys.Client(0).Read(p, blk(1, i))
+			sys.clients[0].Read(p, blk(1, i))
 		}
 	})
 	if sys.Stats().Recirculations != 0 {
@@ -189,7 +189,7 @@ func TestRecirculationBoundedByN(t *testing.T) {
 		// Ping-pong a stream of singlets between two tiny caches; the
 		// recirculation count must prevent an infinite loop.
 		for i := uint32(0); i < 32; i++ {
-			sys.Client(0).Read(p, blk(1, i))
+			sys.clients[0].Read(p, blk(1, i))
 		}
 	})
 	st := sys.Stats()
@@ -205,15 +205,15 @@ func TestRecirculationBoundedByN(t *testing.T) {
 func TestWriteInvalidatesOtherCopies(t *testing.T) {
 	e, sys := build(t, smallConfig(Greedy))
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Read(p, blk(1, 0))
-		sys.Client(1).Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(1, 0))
+		sys.clients[1].Read(p, blk(1, 0))
 		// Both cache it now; client 0 writes.
-		sys.Client(0).Write(p, blk(1, 0))
+		sys.clients[0].Write(p, blk(1, 0))
 		p.Sleep(10 * sim.Millisecond) // let invalidations land
-		if sys.Client(1).cache.Contains(blk(1, 0)) {
+		if _, ok := sys.clients[1].cache.Peek(blk(1, 0)); ok {
 			t.Error("client 1 still caches invalidated block")
 		}
-		if !sys.Client(0).cache.Contains(blk(1, 0)) {
+		if _, ok := sys.clients[0].cache.Peek(blk(1, 0)); !ok {
 			t.Error("writer lost its own copy")
 		}
 	})
@@ -224,9 +224,9 @@ func TestEvictionNoticesKeepDirectoryAccurate(t *testing.T) {
 	cfg.ClientCacheBlocks = 2
 	e, sys := build(t, cfg)
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Read(p, blk(1, 0))
-		sys.Client(0).Read(p, blk(1, 1))
-		sys.Client(0).Read(p, blk(1, 2)) // evicts (1,0)
+		sys.clients[0].Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(1, 1))
+		sys.clients[0].Read(p, blk(1, 2)) // evicts (1,0)
 		p.Sleep(10 * sim.Millisecond)
 		if hs := sys.server.dir[blk(1, 0)]; len(hs) != 0 {
 			t.Errorf("directory still lists holders for evicted block: %v", hs)
@@ -271,8 +271,8 @@ func TestRunTraceEndToEnd(t *testing.T) {
 	if sys.MeanReadResponse() <= 0 {
 		t.Fatal("no mean response time")
 	}
-	if len(sys.ResponseTimes()) != int(st.Reads) {
-		t.Fatalf("recorded %d responses for %d reads", len(sys.ResponseTimes()), st.Reads)
+	if len(sys.resp) != int(st.Reads) {
+		t.Fatalf("recorded %d responses for %d reads", len(sys.resp), st.Reads)
 	}
 }
 
@@ -335,13 +335,13 @@ func TestSingletHintClearedByPeerFetch(t *testing.T) {
 	cfg.ServerCacheBlocks = 1 // server cache forgets immediately
 	e, sys := build(t, cfg)
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Read(p, blk(1, 0)) // client 0: from disk (singlet hint set)
-		sys.Client(0).Read(p, blk(9, 9)) // push (1,0) out of the server cache
-		sys.Client(1).Read(p, blk(1, 0)) // client 1: fetched from client 0 → hint clear
+		sys.clients[0].Read(p, blk(1, 0)) // client 0: from disk (singlet hint set)
+		sys.clients[0].Read(p, blk(9, 9)) // push (1,0) out of the server cache
+		sys.clients[1].Read(p, blk(1, 0)) // client 1: fetched from client 0 → hint clear
 		before := sys.Stats().Recirculations
 		// Evict (1,0) from client 1 by filling its cache.
 		for i := uint32(1); i <= 4; i++ {
-			sys.Client(1).Read(p, blk(2, i))
+			sys.clients[1].Read(p, blk(2, i))
 		}
 		p.Sleep(10 * sim.Millisecond)
 		// Client 1's copy was not the last (client 0 still holds one):
@@ -362,7 +362,7 @@ func TestRecirculatedCopyKeepsHint(t *testing.T) {
 	e, sys := build(t, cfg)
 	drive(t, e, func(p *sim.Proc) {
 		for i := uint32(0); i < 12; i++ {
-			sys.Client(0).Read(p, blk(1, i))
+			sys.clients[0].Read(p, blk(1, i))
 		}
 		p.Sleep(50 * sim.Millisecond)
 	})
@@ -380,74 +380,15 @@ func TestWriteThroughDurability(t *testing.T) {
 	cfg.ServerCacheBlocks = 1
 	e, sys := build(t, cfg)
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Write(p, blk(1, 0))
-		sys.Client(0).Read(p, blk(7, 7)) // evict it everywhere
-		sys.Client(1).Read(p, blk(8, 8))
+		sys.clients[0].Write(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(7, 7)) // evict it everywhere
+		sys.clients[1].Read(p, blk(8, 8))
 		before := sys.Stats().DiskReads
-		sys.Client(2).Read(p, blk(1, 0))
+		sys.clients[2].Read(p, blk(1, 0))
 		if sys.Stats().DiskReads != before+1 {
 			t.Fatalf("durable block not read from disk: %+v", sys.Stats())
 		}
 	})
-}
-
-func TestReadRangeMatchesSerialStats(t *testing.T) {
-	const n = 6
-	// Two identically-seeded systems: one scans serially, one vectored.
-	serial := func() Stats {
-		e, sys := build(t, smallConfig(NChance))
-		drive(t, e, func(p *sim.Proc) {
-			for i := uint32(0); i < n; i++ {
-				sys.Client(0).Read(p, blk(1, i))
-			}
-		})
-		e.Close()
-		return sys.Stats()
-	}()
-	e, sys := build(t, smallConfig(NChance))
-	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).ReadRange(p, blk(1, 0), n)
-	})
-	e.Close()
-	got := sys.Stats()
-	if got.Reads != serial.Reads || got.DiskReads != serial.DiskReads {
-		t.Fatalf("vectored stats diverge: serial %+v, range %+v", serial, got)
-	}
-}
-
-func TestReadRangeFasterThanSerial(t *testing.T) {
-	const n = 8
-	elapsed := func(vectored bool) sim.Duration {
-		e, sys := build(t, smallConfig(Greedy))
-		var d sim.Duration
-		drive(t, e, func(p *sim.Proc) {
-			t0 := p.Now()
-			if vectored {
-				sys.Client(1).ReadRange(p, blk(2, 0), n)
-			} else {
-				for i := uint32(0); i < n; i++ {
-					sys.Client(1).Read(p, blk(2, i))
-				}
-			}
-			d = sim.Duration(p.Now() - t0)
-		})
-		e.Close()
-		return d
-	}
-	serial, ranged := elapsed(false), elapsed(true)
-	if ranged >= serial {
-		t.Fatalf("ReadRange not faster: serial %v, range %v", serial, ranged)
-	}
-}
-
-func TestReadRangeZeroCountIsNoOp(t *testing.T) {
-	e, sys := build(t, smallConfig(Greedy))
-	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).ReadRange(p, blk(1, 0), 0)
-	})
-	if sys.Stats().Reads != 0 {
-		t.Fatalf("zero-count range read counted reads: %+v", sys.Stats())
-	}
 }
 
 // TestGaugesReadStatsLive: the coop.* gauges are the Stats fields, read
@@ -471,11 +412,11 @@ func TestGaugesReadStatsLive(t *testing.T) {
 		}
 	}
 	drive(t, e, func(p *sim.Proc) {
-		sys.Client(0).Read(p, blk(1, 0))
-		sys.Client(1).Read(p, blk(1, 0))
+		sys.clients[0].Read(p, blk(1, 0))
+		sys.clients[1].Read(p, blk(1, 0))
 		check("mid-run")
-		sys.Client(0).Read(p, blk(1, 0))
-		sys.Client(2).Write(p, blk(1, 1))
+		sys.clients[0].Read(p, blk(1, 0))
+		sys.clients[2].Write(p, blk(1, 1))
 	})
 	if got, _ := reg.GaugeValue("coop.reads"); got != 3 {
 		t.Fatalf("coop.reads = %d, want 3", got)

@@ -236,27 +236,6 @@ func (c *client) Read(p *sim.Proc, blk BlockID) {
 	c.insert(p, blk, 0, rr.singletHint)
 }
 
-// ReadRange reads the contiguous run [blk, blk+count) pipelined: each
-// block's lookup-and-forward chain runs as its own proc, so server
-// round trips, peer fetches, and disk reads overlap instead of queueing
-// behind one another. The stats are those of count serial Reads — only
-// the virtual time differs.
-func (c *client) ReadRange(p *sim.Proc, blk BlockID, count int) {
-	if count <= 0 {
-		return
-	}
-	wg := sim.NewWaitGroup(c.sys.eng, "coopcache/readrange")
-	wg.Add(count)
-	for i := 0; i < count; i++ {
-		b := BlockID{File: blk.File, Block: blk.Block + uint32(i)}
-		c.sys.eng.Spawn("coopcache/rangeblk", func(wp *sim.Proc) {
-			defer wg.Done()
-			c.Read(wp, b)
-		})
-	}
-	wg.Wait(p)
-}
-
 // Write performs one application write: write-through to the server.
 func (c *client) Write(p *sim.Proc, blk BlockID) {
 	c.sys.st.Writes++

@@ -101,8 +101,8 @@ func Figure2(sizesMB []int64) (Report, []Figure2Row, error) {
 			DiskPaging:         disk.Elapsed,
 			BigDRAM:            dram.Elapsed,
 			NetworkRAM:         nr.Elapsed,
-			NetVsDRAM:          ratio(float64(nr.Elapsed), float64(dram.Elapsed)),
-			DiskVsNet:          ratio(float64(disk.Elapsed), float64(nr.Elapsed)),
+			NetVsDRAM:          stats.Ratio(float64(nr.Elapsed), float64(dram.Elapsed)),
+			DiskVsNet:          stats.Ratio(float64(disk.Elapsed), float64(nr.Elapsed)),
 			RemoteFaultsServed: remoteHits,
 		}
 		rows = append(rows, row)

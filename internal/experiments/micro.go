@@ -176,7 +176,7 @@ func Table2() (Report, []Table2Row, error) {
 		}
 		rows = append(rows, Table2Row{Config: c.name, Measured: got, Paper: c.paper})
 		tbl.AddRowf(c.name, c.paper.Microseconds(), got.Microseconds(),
-			ratio(got.Microseconds(), c.paper.Microseconds()))
+			stats.Ratio(got.Microseconds(), c.paper.Microseconds()))
 	}
 	return Report{
 		ID:    "T2",

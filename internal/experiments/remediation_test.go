@@ -2,8 +2,32 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+// av2Quick memoises one -quick AV2 run for the test binary:
+// TestStudyGoldens/AV2 diffs it against the golden (and reruns the
+// study in process as its determinism check), and
+// TestRemediationStudyImproves asserts on its rows.
+var av2Quick struct {
+	once sync.Once
+	rep  Report
+	rows []RemediationRow
+	err  error
+}
+
+func quickAV2(t *testing.T) (Report, []RemediationRow) {
+	t.Helper()
+	cfg := studyConfig[AvailabilityConfig](t, "AV2", true)
+	av2Quick.once.Do(func() {
+		av2Quick.rep, av2Quick.rows, av2Quick.err = RemediationStudy(cfg)
+	})
+	if av2Quick.err != nil {
+		t.Fatalf("RemediationStudy: %v", av2Quick.err)
+	}
+	return av2Quick.rep, av2Quick.rows
+}
 
 // TestRemediationStudyImproves is the AV2 acceptance assertion: under
 // the same unrepaired fault plan, arming the self-healing loop must
@@ -16,10 +40,7 @@ func TestRemediationStudyImproves(t *testing.T) {
 	}
 	// Parallel, so it overlaps the AV rows of TestStudyGoldens.
 	t.Parallel()
-	rep, rows, err := RemediationStudy(studyConfig[AvailabilityConfig](t, "AV2", true))
-	if err != nil {
-		t.Fatalf("RemediationStudy: %v", err)
-	}
+	rep, rows := quickAV2(t)
 	if rep.ID != "AV2" || len(rows) != 2 {
 		t.Fatalf("report %q with %d rows, want AV2 with 2", rep.ID, len(rows))
 	}

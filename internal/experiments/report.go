@@ -96,11 +96,3 @@ func (m MetricsSet) Add(rep Report) {
 		m.Experiments[rep.ID+"/"+k] = r.Snapshot()
 	}
 }
-
-// ratio formats a measured/paper comparison safely.
-func ratio(measured, paper float64) float64 {
-	if paper == 0 {
-		return 0
-	}
-	return measured / paper
-}

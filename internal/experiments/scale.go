@@ -77,7 +77,7 @@ func ScaleCollectives(cfg ScaleConfig) (Report, []ScaleRow, error) {
 			fmt.Sprintf("%d", r.Nodes),
 			fmt.Sprintf("%.1f", r.BarrierUs),
 			fmt.Sprintf("%.1f", r.BarrierPredUs),
-			fmt.Sprintf("%.2f", ratio(r.BarrierUs, r.BarrierPredUs)),
+			fmt.Sprintf("%.2f", stats.Ratio(r.BarrierUs, r.BarrierPredUs)),
 			a2a, a2aPred,
 			fmt.Sprintf("%.2f", r.MaxLinkUtil*100),
 			fmt.Sprintf("%d", r.Overflows),

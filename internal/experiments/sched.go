@@ -69,9 +69,9 @@ func Figure3(cfg Figure3Config) (Report, []Figure3Row, error) {
 	}
 
 	// Ideal per-job baseline: immediate start on dedicated nodes.
-	ideal := make(map[int]sim.Duration, len(jobs))
+	ideal := glunix.MixedResult{Responses: make(map[int]sim.Duration, len(jobs))}
 	for _, tj := range jobs {
-		ideal[tj.ID] = tj.Work
+		ideal.Responses[tj.ID] = tj.Work
 	}
 
 	rows := make([]Figure3Row, 0, len(cfg.Sizes))
@@ -91,15 +91,9 @@ func Figure3(cfg Figure3Config) (Report, []Figure3Row, error) {
 		if err != nil {
 			return Report{}, nil, fmt.Errorf("figure3 ws=%d: %w", ws, err)
 		}
-		var sl stats.Summary
-		for id, resp := range mixed.Responses {
-			if base := ideal[id]; base > 0 {
-				sl.Add(float64(resp) / float64(base))
-			}
-		}
 		row := Figure3Row{
 			Workstations:  ws,
-			Slowdown:      sl.Mean(),
+			Slowdown:      glunix.Slowdown(mixed, ideal),
 			JobsCompleted: mixed.JobsCompleted,
 			Migrations:    mixed.Master.Migrations,
 			Evictions:     mixed.Master.Evictions,

@@ -59,7 +59,7 @@ func SeqScan(sizes []int) (Report, []SeqScanRow, error) {
 			Nodes:         n,
 			SerialMBps:    serial,
 			PipelinedMBps: pipelined,
-			Speedup:       ratio(pipelined, serial),
+			Speedup:       stats.Ratio(pipelined, serial),
 			RangeReads:    st.RangeReads,
 			BatchedTokens: st.BatchedTokens,
 			PrefetchHits:  st.PrefetchHits,

@@ -63,9 +63,6 @@ func NewInjector(e *sim.Engine, tgt Target, plan Plan, r *obs.Registry) *Injecto
 	return in
 }
 
-// Plan returns the plan being injected.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Applied reports how many faults the target has handled so far.
 func (in *Injector) Applied() int { return in.applied }
 

@@ -224,9 +224,6 @@ func (f *Federation) ClusterByName(name string) *Cluster {
 	return nil
 }
 
-// WAN returns the wide-area fabric.
-func (f *Federation) WAN() *WANFabric { return f.fabric }
-
 // Run drives the federation to the horizon (or natural quiescence,
 // whichever is first).
 func (f *Federation) Run(horizon sim.Time) error { return f.se.Run(horizon) }

@@ -359,7 +359,7 @@ func TestWANAsymmetricLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	w := f.WAN()
+	w := f.fabric
 	if w.links[0][1].Latency != 3*sim.Millisecond || w.links[1][0].Latency != 2*sim.Millisecond {
 		t.Fatalf("override leaked across directions: %v / %v", w.links[0][1].Latency, w.links[1][0].Latency)
 	}

@@ -15,6 +15,7 @@ package gator
 import (
 	"fmt"
 
+	"github.com/nowproject/now/internal/proto/kstack"
 	"github.com/nowproject/now/internal/sim"
 )
 
@@ -95,9 +96,10 @@ func Machines() []Machine {
 		ParallelFSEff: 0.76, MsgOverhead: 70 * sim.Microsecond,
 		LinkMBps: 175, CostM: 10,
 	}
+	pvm := kstack.PVMEthernet() // PVM through sockets
 	nowBase := Machine{
 		Name: "RS-6000 (256)", Nodes: 256, MFLOPS: 40, DiskMBps: 2,
-		MsgOverhead: 600 * sim.Microsecond, // PVM through sockets
+		MsgOverhead: pvm.SendOverhead + pvm.RecvOverhead,
 		// Bulk streaming gets closer to the 10 Mb/s wire than PVM's
 		// small transport messages do.
 		LinkMBps: 1.9, SharedMediumMBps: 1.125, DistributeInput: true,

@@ -86,7 +86,7 @@ func TestCrashedNodeNeverRecruitedAgain(t *testing.T) {
 		t.Fatalf("job not done on survivors; %s", c.Master.debugString())
 	}
 	for _, g := range j.procs {
-		if g.WS() == 2 {
+		if g.ws == 2 {
 			t.Fatal("gang member placed on the dead node")
 		}
 	}
@@ -186,8 +186,8 @@ func TestHotSwapDrainAndReattach(t *testing.T) {
 	if j2.Started != 0 {
 		t.Fatal("4-node job started while one node was drained")
 	}
-	// Reattach completes the upgrade; the job can now run.
-	c.Master.Reattach(1)
+	// Uncordoning completes the upgrade; the job can now run.
+	c.Master.Uncordon(1)
 	runFor(t, e, e.Now()+5*sim.Minute)
 	defer e.Close()
 	if !j2.Done() {

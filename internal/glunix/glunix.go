@@ -11,7 +11,8 @@
 //     before the machine is recruited, guest processes are migrated away
 //     the moment the user returns, and the image is restored;
 //   - demanding parallel jobs receive gangs of idle machines, with the
-//     gang's processes scheduled together (see Coscheduler);
+//     gang's processes placed together (Figure 4's coscheduling
+//     model lives in internal/apps);
 //   - an individual node crash affects only the jobs with a process on
 //     that node, and those restart from their last checkpoint elsewhere.
 //
@@ -293,15 +294,6 @@ func (c *Cluster) Recover(ws int) {
 	d.idleTimer.Stop()
 	c.EPs[ws].Reattach()
 	c.Eng.Spawn(fmt.Sprintf("glunix/daemon%d", ws), d.heartbeatLoop)
-}
-
-// Up reports whether the master's census currently lists workstation
-// ws as up (it may lag a crash by the heartbeat deadline).
-func (c *Cluster) Up(ws int) bool {
-	if ws <= 0 || ws >= len(c.Master.ws) {
-		return false
-	}
-	return c.Master.ws[ws].up
 }
 
 // transferBulk streams n bytes from the system endpoint of src to dst in

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/nowproject/now/internal/node"
 	"github.com/nowproject/now/internal/sim"
 	"github.com/nowproject/now/internal/trace"
 )
@@ -135,7 +134,7 @@ func TestUserReturnMigratesGuest(t *testing.T) {
 		t.Fatalf("evictions=%d migrations=%d, want 1/1", st.Evictions, st.Migrations)
 	}
 	for _, g := range j.procs {
-		if g.WS() == 1 {
+		if g.ws == 1 {
 			t.Fatal("a guest still sits on the user's machine")
 		}
 	}
@@ -250,7 +249,7 @@ func TestNodeCrashRestartsJobFromCheckpoint(t *testing.T) {
 	// restarted from zero... primarily we check it finished and made
 	// progress from a checkpoint.
 	for _, g := range j.procs {
-		if g.WS() == 1 {
+		if g.ws == 1 {
 			t.Fatal("restarted proc placed on the dead node")
 		}
 	}
@@ -321,7 +320,7 @@ func TestGangBarrierCouplesProgress(t *testing.T) {
 		j.procs[0].paused = true
 	})
 	e.At(14*sim.Second, func() {
-		p0, p1 = j.procs[0].Progress(), j.procs[1].Progress()
+		p0, p1 = j.procs[0].progress, j.procs[1].progress
 		j.procs[0].unpause()
 	})
 	runFor(t, e, 5*sim.Minute)
@@ -367,51 +366,6 @@ func TestSlowdownComputation(t *testing.T) {
 	ded := MixedResult{Responses: map[int]sim.Duration{1: 100, 2: 200}}
 	if s := Slowdown(now, ded); s < 1.09 || s > 1.11 {
 		t.Fatalf("slowdown = %v, want 1.1", s)
-	}
-}
-
-func TestCoschedulerGivesEachJobExclusiveSlots(t *testing.T) {
-	e, c := buildCluster(t, testConfig(2))
-	cpus := []*node.CPU{c.Nodes[1].CPU, c.Nodes[2].CPU}
-	cs := NewCoscheduler(e, cpus, 100*sim.Millisecond)
-	cs.SetJobs([]string{"job-a", "job-b"})
-	cs.Start()
-	var aDone, bDone sim.Time
-	e.Spawn("a", func(p *sim.Proc) {
-		c.Nodes[1].CPU.ComputeAs(p, "job-a", 300*sim.Millisecond)
-		aDone = p.Now()
-	})
-	e.Spawn("b", func(p *sim.Proc) {
-		c.Nodes[1].CPU.ComputeAs(p, "job-b", 300*sim.Millisecond)
-		bDone = p.Now()
-	})
-	runFor(t, e, 5*sim.Second)
-	defer e.Close()
-	if aDone == 0 || bDone == 0 {
-		t.Fatal("tasks did not finish under rotation")
-	}
-	// Each job gets half the slots: both need ≈600 ms wall time.
-	if aDone < 400*sim.Millisecond || bDone < 400*sim.Millisecond {
-		t.Fatalf("slots not enforced: a=%v b=%v", aDone, bDone)
-	}
-	cs.Stop()
-}
-
-func TestCoschedulerStopOpensCPUs(t *testing.T) {
-	e, c := buildCluster(t, testConfig(1))
-	cs := NewCoscheduler(e, []*node.CPU{c.Nodes[1].CPU}, 50*sim.Millisecond)
-	cs.SetJobs([]string{"job-x"})
-	cs.Start()
-	cs.Stop()
-	var done sim.Time
-	e.Spawn("other", func(p *sim.Proc) {
-		c.Nodes[1].CPU.ComputeAs(p, "job-y", 100*sim.Millisecond)
-		done = p.Now()
-	})
-	runFor(t, e, sim.Second)
-	defer e.Close()
-	if done == 0 || done > 300*sim.Millisecond {
-		t.Fatalf("CPU still filtered after Stop: done=%v", done)
 	}
 }
 

@@ -53,9 +53,6 @@ func (j *Job) Response() sim.Duration {
 	return j.Finished - j.Submitted
 }
 
-// class is the CPU scheduling class of the job's processes.
-func (j *Job) class() string { return fmt.Sprintf("job-%d", j.ID) }
-
 // noteCkpt records rank's checkpointed progress; the job's restart point
 // is the minimum across the gang.
 func (j *Job) noteCkpt() {
@@ -187,10 +184,10 @@ func (g *GProc) run(p *sim.Proc) {
 		if rem := g.job.Work - g.progress; rem < grain {
 			grain = rem
 		}
-		g.c.Nodes[g.ws].CPU.ComputeAs(p, g.job.class(), grain)
+		g.c.Nodes[g.ws].CPU.Compute(p, grain)
 		g.progress += grain
 		if cfg.BarrierOverhead > 0 {
-			g.c.Nodes[g.ws].CPU.ComputeAs(p, g.job.class(), cfg.BarrierOverhead)
+			g.c.Nodes[g.ws].CPU.Compute(p, cfg.BarrierOverhead)
 		}
 		if !barrier.arrive(p) {
 			return
@@ -221,9 +218,3 @@ func (g *GProc) checkpoint(p *sim.Proc) {
 	g.job.noteCkpt()
 	g.c.Master.st.CheckpointOps++
 }
-
-// Progress reports absolute work completed (testing/diagnostics).
-func (g *GProc) Progress() sim.Duration { return g.progress }
-
-// WS reports the process's current workstation.
-func (g *GProc) WS() int { return g.ws }

@@ -96,9 +96,6 @@ func newMaster(c *Cluster) *Master {
 // Stats returns a snapshot of master counters.
 func (m *Master) Stats() MasterStats { return m.st }
 
-// Jobs returns every job ever submitted (for reporting).
-func (m *Master) Jobs() []*Job { return m.jobs }
-
 // Submit enqueues a parallel job for placement. It is callable from any
 // simulated process or event callback.
 func (m *Master) Submit(j *Job) {
@@ -470,16 +467,6 @@ func (m *Master) Drain(p *sim.Proc, ws int) {
 			m.pendingEvict = append(m.pendingEvict, g)
 		}
 	}
-	m.work.Broadcast()
-}
-
-// Reattach returns an upgraded workstation to service.
-func (m *Master) Reattach(ws int) {
-	if ws <= 0 || ws >= len(m.ws) {
-		return
-	}
-	m.ws[ws].drained = false
-	m.ws[ws].lastHB = m.c.Eng.Now()
 	m.work.Broadcast()
 }
 

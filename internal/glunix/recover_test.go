@@ -15,7 +15,7 @@ func TestCrashedNodeRejoinsAfterRecover(t *testing.T) {
 	defer e.Close()
 	e.At(10*sim.Second, func() { c.Crash(2) })
 	runFor(t, e, 30*sim.Second)
-	if c.Up(2) {
+	if c.Master.ws[2].up {
 		t.Fatal("master still lists the crashed node as up")
 	}
 	if c.Master.Stats().NodesDown != 1 {
@@ -23,7 +23,7 @@ func TestCrashedNodeRejoinsAfterRecover(t *testing.T) {
 	}
 	e.At(60*sim.Second, func() { c.Recover(2) })
 	runFor(t, e, 90*sim.Second)
-	if !c.Up(2) {
+	if !c.Master.ws[2].up {
 		t.Fatal("recovered node did not rejoin the census")
 	}
 	if c.Master.Stats().Rejoins != 1 {
@@ -60,7 +60,7 @@ func TestNeverRejoinPolicyKeepsNodeOut(t *testing.T) {
 	e.At(10*sim.Second, func() { c.Crash(2) })
 	e.At(60*sim.Second, func() { c.Recover(2) })
 	runFor(t, e, 3*sim.Minute)
-	if c.Up(2) {
+	if c.Master.ws[2].up {
 		t.Fatal("NeverRejoin re-admitted a recovered node")
 	}
 	if c.Master.Stats().Rejoins != 0 {
@@ -82,7 +82,7 @@ func TestFastRecoveryStillRestartsJob(t *testing.T) {
 		if len(j.procs) == 0 {
 			t.Fatal("job not placed by 10s")
 		}
-		crashed = j.procs[0].WS()
+		crashed = j.procs[0].ws
 		c.Crash(crashed)
 		// Recover well inside the 3s detection deadline.
 		e.After(sim.Second, func() { c.Recover(crashed) })
@@ -112,7 +112,7 @@ func TestRecoverIsNoopOnHealthyNode(t *testing.T) {
 		t.Fatalf("no-op recover changed census: rejoins=%d down=%d",
 			c.Master.Stats().Rejoins, c.Master.Stats().NodesDown)
 	}
-	if !c.Up(2) {
+	if !c.Master.ws[2].up {
 		t.Fatal("healthy node dropped from census by no-op recover")
 	}
 }

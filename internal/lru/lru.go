@@ -38,18 +38,6 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	return c
 }
 
-// Len returns the number of resident entries.
-func (c *Cache[K, V]) Len() int { return len(c.entries) }
-
-// Capacity returns the maximum number of entries.
-func (c *Cache[K, V]) Capacity() int { return c.capacity }
-
-// Contains reports residency without touching recency.
-func (c *Cache[K, V]) Contains(k K) bool {
-	_, ok := c.entries[k]
-	return ok
-}
-
 // Get returns the value for k and marks it most recently used.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	e, ok := c.entries[k]
@@ -106,15 +94,6 @@ func (c *Cache[K, V]) Remove(k K) (V, bool) {
 	c.unlink(e)
 	delete(c.entries, k)
 	return e.val, true
-}
-
-// Victim returns the least-recently-used key without evicting it.
-func (c *Cache[K, V]) Victim() (K, bool) {
-	if len(c.entries) == 0 {
-		var zero K
-		return zero, false
-	}
-	return c.head.prev.key, true
 }
 
 // Keys returns all resident keys from most to least recently used.

@@ -12,8 +12,8 @@ func TestPutGet(t *testing.T) {
 	if v, ok := c.Get(1); !ok || v != "a" {
 		t.Fatalf("Get(1) = %q,%v", v, ok)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.entries) != 2 {
+		t.Fatalf("Len = %d", len(c.entries))
 	}
 }
 
@@ -26,10 +26,13 @@ func TestEvictsLeastRecent(t *testing.T) {
 	if !ev || k != 2 || v != 20 {
 		t.Fatalf("evicted (%d,%d,%v), want (2,20,true)", k, v, ev)
 	}
-	if c.Contains(2) {
+	if _, ok := c.Peek(2); ok {
 		t.Fatal("evicted key still resident")
 	}
-	if !c.Contains(1) || !c.Contains(3) {
+	if _, ok1 := c.Peek(1); !ok1 {
+		t.Fatal("wrong residents")
+	}
+	if _, ok3 := c.Peek(3); !ok3 {
 		t.Fatal("wrong residents")
 	}
 }
@@ -66,21 +69,22 @@ func TestRemove(t *testing.T) {
 	if _, ok := c.Remove("x"); ok {
 		t.Fatal("double remove succeeded")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.entries) != 0 {
+		t.Fatalf("Len = %d", len(c.entries))
 	}
 }
 
+// TestVictim pins which key a full cache gives up: none while there is
+// room, then the least recently used one, whatever its insertion order.
 func TestVictim(t *testing.T) {
-	c := New[int, int](3)
-	if _, ok := c.Victim(); ok {
-		t.Fatal("empty cache has a victim")
+	c := New[int, int](2)
+	if _, _, ev := c.Put(1, 0); ev {
+		t.Fatal("cache with room evicted")
 	}
-	c.Put(1, 0)
 	c.Put(2, 0)
 	c.Get(1)
-	if k, ok := c.Victim(); !ok || k != 2 {
-		t.Fatalf("victim = %d,%v", k, ok)
+	if k, _, ev := c.Put(3, 0); !ev || k != 2 {
+		t.Fatalf("victim = %d,%v, want 2", k, ev)
 	}
 }
 
@@ -108,8 +112,8 @@ func TestResizeEvictsOldestFirst(t *testing.T) {
 	if len(ev) != 2 || ev[0] != 1 || ev[1] != 2 {
 		t.Fatalf("evicted = %v", ev)
 	}
-	if c.Capacity() != 2 || c.Len() != 2 {
-		t.Fatalf("cap=%d len=%d", c.Capacity(), c.Len())
+	if c.capacity != 2 || len(c.entries) != 2 {
+		t.Fatalf("cap=%d len=%d", c.capacity, len(c.entries))
 	}
 	// Growing evicts nothing.
 	if ev := c.Resize(10); len(ev) != 0 {
@@ -119,8 +123,8 @@ func TestResizeEvictsOldestFirst(t *testing.T) {
 
 func TestCapacityClampedPositive(t *testing.T) {
 	c := New[int, int](0)
-	if c.Capacity() != 1 {
-		t.Fatalf("cap = %d", c.Capacity())
+	if c.capacity != 1 {
+		t.Fatalf("cap = %d", c.capacity)
 	}
 }
 
@@ -132,14 +136,14 @@ func TestLRUInvariantsProperty(t *testing.T) {
 		c := New[uint8, int](capacity)
 		for i, k := range ops {
 			c.Put(k, i)
-			if c.Len() > capacity {
+			if len(c.entries) > capacity {
 				return false
 			}
-			if !c.Contains(k) {
+			if _, ok := c.Peek(k); !ok {
 				return false
 			}
 		}
-		return len(c.Keys()) == c.Len()
+		return len(c.Keys()) == len(c.entries)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

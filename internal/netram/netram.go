@@ -120,12 +120,6 @@ func NewServer(ep *am.Endpoint, frames int) *Server {
 	return s
 }
 
-// Free returns the number of unoccupied donated frames.
-func (s *Server) Free() int { return s.free }
-
-// Stored returns the number of pages currently held.
-func (s *Server) Stored() int { return len(s.store) }
-
 type putArgs struct {
 	page  node.PageID
 	dirty bool

@@ -124,8 +124,8 @@ func TestEvictionGoesToNetworkRAM(t *testing.T) {
 	if st.DiskWrites != 0 {
 		t.Fatalf("dirty evictions hit disk despite idle memory: %+v", st)
 	}
-	if r.servers[0].Stored() != int(st.RemoteStores) {
-		t.Fatalf("server stored %d, pager pushed %d", r.servers[0].Stored(), st.RemoteStores)
+	if len(r.servers[0].store) != int(st.RemoteStores) {
+		t.Fatalf("server stored %d, pager pushed %d", len(r.servers[0].store), st.RemoteStores)
 	}
 }
 
@@ -146,8 +146,10 @@ func TestRemoteFaultMuchFasterThanDisk(t *testing.T) {
 		remote = p.Now() - start
 		// A cold page beyond everything: disk fault (plus eviction cost;
 		// measure a fresh cold read after filling from remote is messy,
-		// so compare against the disk's raw access time).
-		disk = r.client.Node().Disk.AccessTime(4096)
+		// so compare against one raw read of the idle disk).
+		start = p.Now()
+		r.client.Node().Disk.Read(p, 0, 4096)
+		disk = p.Now() - start
 	})
 	if r.pager.Stats().RemoteHits == 0 {
 		t.Fatalf("no remote hits: %+v", r.pager.Stats())
@@ -171,8 +173,8 @@ func TestServerFullFallsBackToDisk(t *testing.T) {
 	if st.RemoteStores == 0 || st.DiskWrites == 0 {
 		t.Fatalf("expected both remote and disk spills: %+v", st)
 	}
-	if r.servers[0].Free() != 0 {
-		t.Fatalf("server free = %d, want 0", r.servers[0].Free())
+	if r.servers[0].free != 0 {
+		t.Fatalf("server free = %d, want 0", r.servers[0].free)
 	}
 }
 
@@ -185,7 +187,7 @@ func TestSpillSpreadsAcrossServers(t *testing.T) {
 	})
 	used := 0
 	for _, s := range r.servers {
-		if s.Stored() > 0 {
+		if len(s.store) > 0 {
 			used++
 		}
 	}
@@ -200,7 +202,7 @@ func TestReclaimReturnsPagesToOwner(t *testing.T) {
 		for i := uint32(0); i < 300; i++ {
 			r.pager.Touch(p, pid(i), true)
 		}
-		stored := r.servers[0].Stored()
+		stored := len(r.servers[0].store)
 		if stored == 0 {
 			t.Fatal("nothing stored before reclaim")
 		}
@@ -208,7 +210,7 @@ func TestReclaimReturnsPagesToOwner(t *testing.T) {
 		if err := r.servers[0].Reclaim(p); err != nil {
 			t.Fatal(err)
 		}
-		if r.servers[0].Stored() != 0 {
+		if len(r.servers[0].store) != 0 {
 			t.Fatal("server not empty after reclaim")
 		}
 		if int(r.pager.Stats().Returned) != stored {

@@ -17,7 +17,7 @@ func BenchmarkFabricDelivery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f.SetDelivery(1, func(pkt *Packet) { f.FreePacket(pkt) })
+	f.SetDeliveryPort(1, 0, func(pkt *Packet) { f.FreePacket(pkt) })
 	n := b.N
 	e.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {

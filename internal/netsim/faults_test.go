@@ -18,8 +18,8 @@ func TestPartitionDropsAndAccounts(t *testing.T) {
 	f := newTestFabric(t, e, ATM155(4))
 	f.Instrument(reg)
 	delivered := 0
-	f.SetDelivery(1, func(pkt *Packet) { delivered++ })
-	f.SetDelivery(3, func(pkt *Packet) { delivered++ })
+	f.SetDeliveryPort(1, 0, func(pkt *Packet) { delivered++ })
+	f.SetDeliveryPort(3, 0, func(pkt *Packet) { delivered++ })
 
 	f.Partition([]NodeID{2, 3})
 	if !f.Partitioned(0, 3) || f.Partitioned(2, 3) || f.Partitioned(0, 1) {
@@ -76,7 +76,7 @@ func TestPartitionFloodDoesNotDelayHealthyTraffic(t *testing.T) {
 	cfg := ATM155(8)
 	f := newTestFabric(t, e, cfg)
 	var arrived, sentAt sim.Time
-	f.SetDelivery(7, func(pkt *Packet) {
+	f.SetDeliveryPort(7, 0, func(pkt *Packet) {
 		if pkt.Src == 5 {
 			arrived = e.Now()
 		}
@@ -127,7 +127,7 @@ func TestLinkFaultFIFOUnderChurn(t *testing.T) {
 		f := newTestFabric(t, e, ATM155(3))
 		var order []int
 		var times []sim.Time
-		f.SetDelivery(1, func(pkt *Packet) {
+		f.SetDeliveryPort(1, 0, func(pkt *Packet) {
 			order = append(order, pkt.Payload.(int))
 			times = append(times, e.Now())
 		})
@@ -175,8 +175,8 @@ func TestLinkFaultLossAccounting(t *testing.T) {
 	defer e.Close()
 	f := newTestFabric(t, e, ATM155(3))
 	delivered := map[NodeID]int{}
-	f.SetDelivery(1, func(pkt *Packet) { delivered[1]++ })
-	f.SetDelivery(2, func(pkt *Packet) { delivered[2]++ })
+	f.SetDeliveryPort(1, 0, func(pkt *Packet) { delivered[1]++ })
+	f.SetDeliveryPort(2, 0, func(pkt *Packet) { delivered[2]++ })
 
 	f.SetLinkFault(0, 1, 1.0, 0) // loss=1: deterministic drop
 	e.Spawn("tx", func(p *sim.Proc) {
@@ -211,7 +211,7 @@ func TestLinkFaultDelayIsAdded(t *testing.T) {
 	f := newTestFabric(t, e, ATM155(2))
 	var arrivals []sim.Time
 	var sentAt sim.Time
-	f.SetDelivery(1, func(pkt *Packet) { arrivals = append(arrivals, e.Now()) })
+	f.SetDeliveryPort(1, 0, func(pkt *Packet) { arrivals = append(arrivals, e.Now()) })
 	e.Spawn("tx", func(p *sim.Proc) {
 		f.Send(p, &Packet{Src: 0, Dst: 1, Bytes: 1000}) // healthy baseline
 		p.Sleep(sim.Second)

@@ -196,17 +196,8 @@ func New(e *sim.Engine, cfg Config) (*Fabric, error) {
 	return f, nil
 }
 
-// Nodes returns the number of attached workstations.
-func (f *Fabric) Nodes() int { return f.cfg.Nodes }
-
 // Config returns the fabric's configuration.
 func (f *Fabric) Config() Config { return f.cfg }
-
-// SetDelivery registers the handler for (node, port 0). Registering nil
-// detaches it (packets to it are dropped).
-func (f *Fabric) SetDelivery(node NodeID, fn Delivery) {
-	f.SetDeliveryPort(node, 0, fn)
-}
 
 // SetDeliveryPort registers the handler for one (node, port) endpoint.
 // Out-of-range nodes and negative ports are ignored, mirroring the old
@@ -500,15 +491,6 @@ func (f *Fabric) deliverPacket(v any) {
 
 // Stats returns a snapshot of fabric counters.
 func (f *Fabric) Stats() Stats { return f.stats }
-
-// MediumUtilization reports utilisation of the shared medium (0 for
-// switched fabrics, where per-link utilisation is the relevant figure).
-func (f *Fabric) MediumUtilization() float64 {
-	if f.medium == nil {
-		return 0
-	}
-	return f.medium.Utilization()
-}
 
 // Topology returns the fabric's internal switch topology (nil for the
 // flat crossbar).

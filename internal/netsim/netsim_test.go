@@ -35,7 +35,7 @@ func TestSwitchedDeliveryTime(t *testing.T) {
 	cfg := Config{Name: "sw", Nodes: 4, BandwidthMbps: 155, Latency: 20 * sim.Microsecond}
 	f := newTestFabric(t, e, cfg)
 	var arrived sim.Time
-	f.SetDelivery(1, func(pkt *Packet) { arrived = e.Now() })
+	f.SetDeliveryPort(1, 0, func(pkt *Packet) { arrived = e.Now() })
 	e.Spawn("tx", func(p *sim.Proc) {
 		f.Send(p, &Packet{Src: 0, Dst: 1, Bytes: 8192})
 	})
@@ -56,7 +56,7 @@ func TestSharedMediumSerialisesSenders(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := newTestFabric(t, e, Ethernet10(4))
 	var arrivals []sim.Time
-	f.SetDelivery(3, func(pkt *Packet) { arrivals = append(arrivals, e.Now()) })
+	f.SetDeliveryPort(3, 0, func(pkt *Packet) { arrivals = append(arrivals, e.Now()) })
 	for src := 0; src < 2; src++ {
 		src := NodeID(src)
 		e.Spawn("tx", func(p *sim.Proc) {
@@ -89,7 +89,7 @@ func TestSwitchedFabricScalesWithSenders(t *testing.T) {
 		}
 		var last sim.Time
 		for i := 0; i < 4; i++ {
-			f.SetDelivery(NodeID(i+4), func(pkt *Packet) {
+			f.SetDeliveryPort(NodeID(i+4), 0, func(pkt *Packet) {
 				if e.Now() > last {
 					last = e.Now()
 				}
@@ -117,7 +117,7 @@ func TestReceiverLinkContentionQueuesIncast(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := newTestFabric(t, e, Config{Name: "sw", Nodes: 4, BandwidthMbps: 100, Latency: 10 * sim.Microsecond})
 	var arrivals []sim.Time
-	f.SetDelivery(3, func(pkt *Packet) { arrivals = append(arrivals, e.Now()) })
+	f.SetDeliveryPort(3, 0, func(pkt *Packet) { arrivals = append(arrivals, e.Now()) })
 	for src := 0; src < 3; src++ {
 		src := NodeID(src)
 		e.Spawn("tx", func(p *sim.Proc) {
@@ -143,7 +143,7 @@ func TestSelfSendBypassesWire(t *testing.T) {
 	f := newTestFabric(t, e, Ethernet10(2))
 	var arrived sim.Time
 	arrivedSet := false
-	f.SetDelivery(0, func(pkt *Packet) { arrived, arrivedSet = e.Now(), true })
+	f.SetDeliveryPort(0, 0, func(pkt *Packet) { arrived, arrivedSet = e.Now(), true })
 	e.Spawn("tx", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Microsecond)
 		f.Send(p, &Packet{Src: 0, Dst: 0, Bytes: 1 << 20})
@@ -164,7 +164,7 @@ func TestLossInjectionDropsSome(t *testing.T) {
 	cfg := Config{Name: "lossy", Nodes: 2, BandwidthMbps: 100, Latency: sim.Microsecond, LossProb: 0.3}
 	f := newTestFabric(t, e, cfg)
 	delivered := 0
-	f.SetDelivery(1, func(pkt *Packet) { delivered++ })
+	f.SetDeliveryPort(1, 0, func(pkt *Packet) { delivered++ })
 	e.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < 1000; i++ {
 			f.Send(p, &Packet{Src: 0, Dst: 1, Bytes: 100})
@@ -189,7 +189,7 @@ func TestLossInjectionDropsSome(t *testing.T) {
 func TestStatsCountBytes(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := newTestFabric(t, e, ATM155(2))
-	f.SetDelivery(1, func(pkt *Packet) {})
+	f.SetDeliveryPort(1, 0, func(pkt *Packet) {})
 	e.Spawn("tx", func(p *sim.Proc) {
 		f.Send(p, &Packet{Src: 0, Dst: 1, Bytes: 100})
 		f.Send(p, &Packet{Src: 0, Dst: 1, Bytes: 200})
@@ -244,7 +244,7 @@ func TestUnhandledDestinationDoesNotCrash(t *testing.T) {
 func TestMediumUtilization(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := newTestFabric(t, e, Ethernet10(2))
-	f.SetDelivery(1, func(pkt *Packet) {})
+	f.SetDeliveryPort(1, 0, func(pkt *Packet) {})
 	e.Spawn("tx", func(p *sim.Proc) {
 		f.Send(p, &Packet{Src: 0, Dst: 1, Bytes: 8192})
 		p.Sleep(f.SerializationTime(8192)) // idle as long as we were busy
@@ -252,7 +252,7 @@ func TestMediumUtilization(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	u := f.MediumUtilization()
+	u := f.medium.Utilization()
 	if u < 0.45 || u > 0.55 {
 		t.Fatalf("utilization = %v, want ≈0.5", u)
 	}
@@ -260,8 +260,8 @@ func TestMediumUtilization(t *testing.T) {
 	e2 := sim.NewEngine(1)
 	defer e2.Close()
 	f2 := newTestFabric(t, e2, ATM155(2))
-	if f2.MediumUtilization() != 0 {
-		t.Fatal("switched fabric should report 0 medium utilization")
+	if f2.medium != nil {
+		t.Fatal("switched fabric should have no shared medium")
 	}
 }
 
@@ -278,9 +278,6 @@ func TestPresetShapes(t *testing.T) {
 	if cfg := Myrinet(8); cfg.Shared || cfg.BandwidthMbps < 600 {
 		t.Fatalf("Myrinet = %+v", cfg)
 	}
-	if cfg := MPPNetwork(8); cfg.Latency != 4*sim.Microsecond {
-		t.Fatalf("MPPNetwork = %+v", cfg)
-	}
 }
 
 // Property: delivery time is monotone non-decreasing in packet size and
@@ -294,7 +291,7 @@ func TestDeliveryTimeMonotoneProperty(t *testing.T) {
 			return false
 		}
 		var arrived sim.Time
-		fab.SetDelivery(1, func(pkt *Packet) { arrived = e.Now() })
+		fab.SetDeliveryPort(1, 0, func(pkt *Packet) { arrived = e.Now() })
 		e.Spawn("tx", func(p *sim.Proc) {
 			fab.Send(p, &Packet{Src: 0, Dst: 1, Bytes: size})
 		})

@@ -59,14 +59,3 @@ func Myrinet(nodes int) Config {
 		Latency:       5 * sim.Microsecond,
 	}
 }
-
-// MPPNetwork models the CM-5 class dedicated interconnect: the paper
-// cites network latency under 4 µs across 1,024 processors.
-func MPPNetwork(nodes int) Config {
-	return Config{
-		Name:          "mpp",
-		Nodes:         nodes,
-		BandwidthMbps: 160,
-		Latency:       4 * sim.Microsecond,
-	}
-}

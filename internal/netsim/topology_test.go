@@ -160,7 +160,7 @@ func TestTopologyLatencyAndContention(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got sim.Time
-		fab.SetDelivery(dst, func(pkt *Packet) { got = e.Now() })
+		fab.SetDeliveryPort(dst, 0, func(pkt *Packet) { got = e.Now() })
 		e.Spawn("tx", func(p *sim.Proc) {
 			fab.Send(p, &Packet{Src: src, Dst: dst, Bytes: 256})
 		})
@@ -190,8 +190,8 @@ func TestTopologyLatencyAndContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	var first, second sim.Time
-	fab.SetDelivery(14, func(pkt *Packet) { first = e.Now() })
-	fab.SetDelivery(15, func(pkt *Packet) { second = e.Now() })
+	fab.SetDeliveryPort(14, 0, func(pkt *Packet) { first = e.Now() })
+	fab.SetDeliveryPort(15, 0, func(pkt *Packet) { second = e.Now() })
 	e.Spawn("tx0", func(p *sim.Proc) { fab.Send(p, &Packet{Src: 0, Dst: 14, Bytes: 4096}) })
 	e.Spawn("tx1", func(p *sim.Proc) { fab.Send(p, &Packet{Src: 1, Dst: 15, Bytes: 4096}) })
 	if err := e.Run(); err != nil {

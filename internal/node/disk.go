@@ -63,19 +63,7 @@ func (d *Disk) access(p *sim.Proc, offset int64, n int, seqHint bool) {
 	d.lastEnd = offset + int64(n)
 }
 
-// AccessTime returns the un-queued service time for a random access of
-// n bytes — the building block of the analytic experiments.
-func (d *Disk) AccessTime(n int) sim.Duration {
-	return d.cfg.AvgAccess + sim.PerByte(int64(n), d.cfg.BandwidthMBps*1e6)
-}
-
 // Stats returns (reads, writes, bytesRead, bytesWritten).
 func (d *Disk) Stats() (reads, writes, bytesRead, bytesWritten int64) {
 	return d.reads, d.writes, d.bytesRead, d.bytesWritten
 }
-
-// Utilization reports the fraction of time the arm was busy.
-func (d *Disk) Utilization() float64 { return d.arm.Utilization() }
-
-// Config returns the disk's parameters.
-func (d *Disk) Config() DiskConfig { return d.cfg }

@@ -38,12 +38,6 @@ func NewMemory(size int64, pageSize int) *Memory {
 // PageSize returns the page size in bytes.
 func (m *Memory) PageSize() int { return m.pageSize }
 
-// Frames returns the current frame-pool capacity.
-func (m *Memory) Frames() int { return m.frames.Capacity() }
-
-// Resident returns the number of occupied frames.
-func (m *Memory) Resident() int { return m.frames.Len() }
-
 // Touch references page, returning fault=true when it was not resident.
 // On a fault the page becomes resident (write sets the dirty bit) and,
 // if a frame had to be reclaimed, the victim is returned so the caller
@@ -89,6 +83,3 @@ func (m *Memory) HitRate() float64 {
 	}
 	return float64(m.hits) / float64(total)
 }
-
-// Counters returns raw (hits, misses).
-func (m *Memory) Counters() (hits, misses int64) { return m.hits, m.misses }

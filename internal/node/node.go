@@ -20,9 +20,6 @@ type Config struct {
 	// flop into CPU time (the paper's machine comparisons are stated in
 	// Mflops per node).
 	MFLOPS float64
-	// MIPS is sustained integer rate for instruction-counted work (the
-	// SFI experiments); defaults to MFLOPS*2 when zero.
-	MIPS float64
 	// Quantum is the local scheduler's round-robin timeslice.
 	Quantum sim.Duration
 	// ContextSwitch is charged at every involuntary slice rotation.
@@ -52,7 +49,6 @@ func DefaultConfig(id netsim.NodeID) Config {
 	return Config{
 		ID:            id,
 		MFLOPS:        50,
-		MIPS:          100,
 		Quantum:       100 * sim.Millisecond,
 		ContextSwitch: 100 * sim.Microsecond,
 		MemoryBytes:   64 << 20,
@@ -80,9 +76,6 @@ func New(e *sim.Engine, cfg Config) *Node {
 	if cfg.MFLOPS <= 0 {
 		cfg.MFLOPS = 50
 	}
-	if cfg.MIPS <= 0 {
-		cfg.MIPS = cfg.MFLOPS * 2
-	}
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 100 * sim.Millisecond
 	}
@@ -108,16 +101,8 @@ func New(e *sim.Engine, cfg Config) *Node {
 // ID returns the node's fabric address.
 func (n *Node) ID() netsim.NodeID { return n.cfg.ID }
 
-// Config returns the node's configuration.
-func (n *Node) Config() Config { return n.cfg }
-
 // FlopTime converts floating-point work into CPU time at this node's
 // sustained rate.
 func (n *Node) FlopTime(flop float64) sim.Duration {
 	return sim.Time(flop / (n.cfg.MFLOPS * 1e6) * float64(sim.Second))
-}
-
-// InstrTime converts an instruction count into CPU time.
-func (n *Node) InstrTime(instr float64) sim.Duration {
-	return sim.Time(instr / (n.cfg.MIPS * 1e6) * float64(sim.Second))
 }

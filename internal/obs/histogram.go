@@ -74,32 +74,6 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Count reports the number of observations (0 on a nil handle).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum reports the sum of observations (0 on a nil handle).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Mean reports sum/count using the same integer division every caller
-// would write, so reports derived from a histogram match reports
-// derived from the raw samples.
-func (h *Histogram) Mean() int64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	return h.sum / h.n
-}
-
 // Standard bucket layouts. Fixed and shared: determinism rule #2 in
 // docs/OBSERVABILITY.md. All duration layouts are in virtual
 // nanoseconds.

@@ -23,7 +23,7 @@
 // A tally lives in exactly one place: the subsystem's Stats if it has
 // one, exported with CounterFunc/GaugeFunc, which read the live field
 // on every read; otherwise an obs counter, created once at subsystem
-// construction (preallocated label sets via CounterVec/GaugeVec) and
+// construction (preallocated label sets via CounterVec) and
 // bumped with a plain field increment. Sampled values (utilisations,
 // queue depths) are GaugeFuncs too. See docs/OBSERVABILITY.md for the
 // naming conventions and the instrumentation guide.
@@ -31,7 +31,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Time is a point (or span) of virtual time in nanoseconds. It is the
@@ -96,14 +95,6 @@ func (g *Gauge) Add(d int64) {
 	}
 }
 
-// SetMax raises the gauge to v if v is larger — the high-water-mark
-// pattern used for queue depths.
-func (g *Gauge) SetMax(v int64) {
-	if g != nil && v > g.v {
-		g.v = v
-	}
-}
-
 // Value reports the current level (0 on a nil handle).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -134,19 +125,6 @@ func (v *CounterVec) At(i int) *Counter {
 		return nil
 	}
 	return v.cs[i]
-}
-
-// GaugeVec is the gauge analogue of CounterVec.
-type GaugeVec struct {
-	gs []*Gauge
-}
-
-// At returns the i'th gauge (nil when the vec is nil or i out of range).
-func (v *GaugeVec) At(i int) *Gauge {
-	if v == nil || i < 0 || i >= len(v.gs) {
-		return nil
-	}
-	return v.gs[i]
 }
 
 // Registry holds a run's collectors. A nil *Registry is the disabled
@@ -256,18 +234,6 @@ func (r *Registry) CounterVec(name string, labels []string) *CounterVec {
 	return v
 }
 
-// GaugeVec creates one gauge per label, named name{label}.
-func (r *Registry) GaugeVec(name string, labels []string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	v := &GaugeVec{gs: make([]*Gauge, len(labels))}
-	for i, l := range labels {
-		v.gs[i] = r.Gauge(name + "{" + l + "}")
-	}
-	return v
-}
-
 // CounterValue looks a counter up by name at reporting time — the
 // experiment harness's read path. Not for hot paths.
 func (r *Registry) CounterValue(name string) (int64, bool) {
@@ -307,18 +273,4 @@ func (r *Registry) HistogramStats(name string) (n, sum int64, ok bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// MetricNames returns every registered metric name, sorted — the
-// documentation and golden tests walk this.
-func (r *Registry) MetricNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.names))
-	for n := range r.names {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -81,9 +81,6 @@ type Config struct {
 	MaxRetries int
 	// Window bounds outstanding asynchronous sends per destination.
 	Window int
-	// Class is the CPU scheduling class charged for protocol processing
-	// ("" = system class, always schedulable).
-	Class string
 	// Port is the endpoint's address on its node; distinct subsystems or
 	// jobs sharing a node use distinct ports. Port 0 is the default.
 	Port int
@@ -240,9 +237,6 @@ func (ep *Endpoint) Node() *node.Node { return ep.node }
 
 // ID returns the endpoint's fabric address.
 func (ep *Endpoint) ID() netsim.NodeID { return ep.id }
-
-// Config returns the endpoint's configuration.
-func (ep *Endpoint) Config() Config { return ep.cfg }
 
 // Fabric returns the fabric the endpoint is bound to. Protocol layers
 // that bypass the AM reliability machinery (the in-network collective
@@ -463,18 +457,11 @@ func (ep *Endpoint) complete(pd *pending, reply any, failed bool) {
 	ep.windowSig.Broadcast()
 }
 
-// chargeCPU accounts protocol processing time. System endpoints (empty
-// Class) run in interrupt context — they must not queue behind a guest
-// job's timeslice, or acks stall and retransmission storms follow.
-// Job-classed endpoints model user-level libraries polled by the
-// application: their processing competes under the local scheduler,
-// which is exactly the Figure 4 effect.
+// chargeCPU accounts protocol processing time. It runs in interrupt
+// context: it must not queue behind a guest job's timeslice, or acks
+// stall and retransmission storms follow.
 func (ep *Endpoint) chargeCPU(p *sim.Proc, d sim.Duration) {
-	if ep.cfg.Class == "" {
-		ep.node.CPU.ComputeSystem(p, d)
-		return
-	}
-	ep.node.CPU.ComputeAs(p, ep.cfg.Class, d)
+	ep.node.CPU.ComputeSystem(p, d)
 }
 
 // txLoop drains the transmit queue onto the fabric, serialising packets

@@ -315,7 +315,7 @@ func TestConfigNormalisation(t *testing.T) {
 	}
 	nd := node.New(e, node.DefaultConfig(0))
 	ep := NewEndpoint(e, nd, fab, Config{})
-	cfg := ep.Config()
+	cfg := ep.cfg
 	if cfg.BufferSlots <= 0 || cfg.Window <= 0 || cfg.RetryTimeout <= 0 || cfg.MaxRetries <= 0 {
 		t.Fatalf("config not normalised: %+v", cfg)
 	}

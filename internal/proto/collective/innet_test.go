@@ -98,8 +98,8 @@ func TestInNetBarrierSynchronises(t *testing.T) {
 	}
 }
 
-// TestInNetValuesAcrossTopologies checks broadcast, reduce and
-// all-reduce payload correctness through the switch combine plane.
+// TestInNetValuesAcrossTopologies checks broadcast and all-reduce
+// payload correctness through the switch combine plane.
 func TestInNetValuesAcrossTopologies(t *testing.T) {
 	for _, topo := range []string{"crossbar", "fattree", "torus"} {
 		t.Run(topo, func(t *testing.T) {
@@ -124,19 +124,6 @@ func TestInNetValuesAcrossTopologies(t *testing.T) {
 						}
 						if bv.(int) != 1000+i {
 							fail("rank %d round %d: broadcast %v", r, i, bv)
-							return
-						}
-						want := int64(0)
-						for q := 0; q < n; q++ {
-							want += int64(q*10 + i)
-						}
-						total, root, err := x.Reduce(p, r, int64(r*10+i))
-						if err != nil {
-							fail("reduce: %v", err)
-							return
-						}
-						if r == 0 && (!root || total != want) {
-							fail("round %d: reduce total %d (root=%v), want %d", i, total, root, want)
 							return
 						}
 						all, err := x.AllReduce(p, r, int64(r+i))

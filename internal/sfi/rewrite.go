@@ -41,11 +41,6 @@ func (s Segment) Valid() bool {
 	return s.Size > 0 && s.Size&(s.Size-1) == 0 && s.Base%s.Size == 0 && s.Base >= 0
 }
 
-// Contains reports whether addr falls inside the segment.
-func (s Segment) Contains(addr int64) bool {
-	return addr >= s.Base && addr < s.Base+s.Size
-}
-
 func (s Segment) mask() int64 { return s.Size - 1 }
 
 // packSandboxImm packs mask and base for OpSandbox.

@@ -19,7 +19,7 @@ func scheduleHash(t *testing.T, seed int64) uint64 {
 	e := NewEngine(seed)
 	h := fnv.New64a()
 	mark := func(p *Proc, tag string) {
-		fmt.Fprintf(h, "%d|%d|%s;", int64(p.Now()), p.ID(), tag)
+		fmt.Fprintf(h, "%d|%d|%s;", int64(p.Now()), p.id, tag)
 	}
 	mbox := NewMailbox[int](e, "m")
 	res := NewResource(e, "r", 2)
@@ -251,7 +251,7 @@ func TestCloseTeardownAscendingPIDs(t *testing.T) {
 	// not produce ascending ids.
 	for _, d := range []Duration{5, 1, 9, 3, 7, 2, 8, 4, 6, 0} {
 		e.SpawnAt(d*Microsecond, fmt.Sprintf("p%d", d), func(p *Proc) {
-			defer func() { killed = append(killed, p.ID()) }()
+			defer func() { killed = append(killed, p.id) }()
 			sig.Wait(p)
 		})
 	}

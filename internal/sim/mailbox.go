@@ -81,6 +81,3 @@ func (m *Mailbox[T]) TryGet() (v T, ok bool) {
 
 // Len returns the number of queued items.
 func (m *Mailbox[T]) Len() int { return m.items.len() }
-
-// Waiting returns the number of blocked receivers.
-func (m *Mailbox[T]) Waiting() int { return m.waiters.len() }

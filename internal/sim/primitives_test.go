@@ -95,8 +95,8 @@ func TestResourceAcquireTimeout(t *testing.T) {
 	if at != 21*Microsecond {
 		t.Fatalf("timed out at %v, want 21µs", at)
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("in use = %d after run", r.InUse())
+	if r.inUse != 0 {
+		t.Fatalf("in use = %d after run", r.inUse)
 	}
 }
 
@@ -136,9 +136,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 	if u := r.Utilization(); u < 0.29 || u > 0.31 {
 		t.Fatalf("utilization = %v, want ≈0.30", u)
-	}
-	if r.Acquires() != 1 {
-		t.Fatalf("acquires = %d", r.Acquires())
 	}
 }
 
@@ -298,8 +295,8 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 	}
 	e.Spawn("firer", func(p *Proc) {
 		p.Sleep(10 * Microsecond)
-		if sig.Waiting() != 5 {
-			t.Errorf("waiting = %d", sig.Waiting())
+		if sig.waiters.len() != 5 {
+			t.Errorf("waiting = %d", sig.waiters.len())
 		}
 		sig.Broadcast()
 	})
@@ -351,7 +348,7 @@ func TestSignalWaitTimeout(t *testing.T) {
 	if ok {
 		t.Fatal("expected timeout")
 	}
-	if sig.Waiting() != 0 {
+	if sig.waiters.len() != 0 {
 		t.Fatal("timed-out waiter not removed")
 	}
 }

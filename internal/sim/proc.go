@@ -149,12 +149,6 @@ func (p *Proc) kill() {
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the engine-unique process id (assigned in spawn order).
-func (p *Proc) ID() int { return p.id }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 

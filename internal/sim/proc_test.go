@@ -80,11 +80,11 @@ func TestProcIDsAreSpawnOrdered(t *testing.T) {
 	e := NewEngine(1)
 	a := e.Spawn("a", func(p *Proc) {})
 	b := e.Spawn("b", func(p *Proc) {})
-	if a.ID() >= b.ID() {
-		t.Fatalf("ids: a=%d b=%d", a.ID(), b.ID())
+	if a.id >= b.id {
+		t.Fatalf("ids: a=%d b=%d", a.id, b.id)
 	}
-	if a.Name() != "a" {
-		t.Fatalf("name = %q", a.Name())
+	if a.name != "a" {
+		t.Fatalf("name = %q", a.name)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ type Resource struct {
 	// Usage accounting for utilisation reports.
 	busy       Time // integral of inUse over time, in unit·ns
 	lastChange Time
-	acquires   int64
 }
 
 type resWaiter struct {
@@ -29,18 +28,6 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	}
 	return &Resource{eng: e, name: name, capacity: capacity}
 }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the total units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting.
-func (r *Resource) QueueLen() int { return r.queue.len() }
 
 func (r *Resource) account() {
 	now := r.eng.Now()
@@ -69,7 +56,6 @@ func (r *Resource) acquireDeadline(p *Proc, n int, d Duration) bool {
 	if r.queue.len() == 0 && r.inUse+n <= r.capacity {
 		r.account()
 		r.inUse += n
-		r.acquires++
 		return true
 	}
 	r.queue.push(resWaiter{p: p, n: n})
@@ -99,7 +85,6 @@ func (r *Resource) grant() {
 		r.queue.pop()
 		r.account()
 		r.inUse += w.n
-		r.acquires++
 		w.p.grant()
 	}
 }
@@ -131,7 +116,3 @@ func (r *Resource) Utilization() float64 {
 	busy := r.busy + Time(int64(r.inUse)*int64(now-r.lastChange))
 	return float64(busy) / (float64(now) * float64(r.capacity))
 }
-
-// Acquires returns the number of successful acquisitions, a throughput
-// counter for experiments.
-func (r *Resource) Acquires() int64 { return r.acquires }

@@ -107,6 +107,40 @@ func TestShardedDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestShardedMergeOrderOnTies pins the (At, Src, Seq) merge: several
+// partitions send to partition 0 for the same virtual time, and
+// partition 0 must inject them by source, then in send order, at every
+// worker count. Source 1 sends the most messages, so its sequence
+// numbers run highest: a merge on (At, Seq) alone interleaves the
+// sources instead.
+func TestShardedMergeOrderOnTies(t *testing.T) {
+	const parts, W = 4, 5 * Microsecond
+	run := func(workers int) []int {
+		s := NewShardedEngine(ShardedConfig{Parts: parts, Workers: workers, Seed: 1, Window: W})
+		defer s.Close()
+		var got []int
+		s.OnDeliver(0, func(m ShardMsg) { got = append(got, m.Data.(int)) })
+		for src := 1; src < parts; src++ {
+			src := src
+			s.Engine(src).At(0, func() {
+				for k := 0; k < parts-src; k++ {
+					s.Send(src, 0, 2*W, src*10+k)
+				}
+			})
+		}
+		if err := s.Run(MaxTime); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return got
+	}
+	want := []int{10, 11, 12, 20, 21, 30}
+	for _, workers := range []int{1, 2, 4} {
+		if got := run(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: delivery order %v, want %v", workers, got, want)
+		}
+	}
+}
+
 // TestShardedStopMidDrain pins the Engine.Stop-under-sharding semantics:
 // a Stop fired inside one partition's event stream quiesces every peer
 // without deadlocking the horizon gates, peers finish exactly the

@@ -49,9 +49,6 @@ func (s *Signal) Broadcast() {
 	}
 }
 
-// Waiting returns the number of parked waiters.
-func (s *Signal) Waiting() int { return s.waiters.len() }
-
 // WaitGroup counts outstanding activities and lets a process wait for
 // the count to drain — the simulated analogue of sync.WaitGroup, used by
 // barriers in the parallel application kernels.
@@ -86,6 +83,3 @@ func (wg *WaitGroup) Wait(p *Proc) {
 		wg.sig.Wait(p)
 	}
 }
-
-// Count returns the current counter value.
-func (wg *WaitGroup) Count() int { return wg.count }

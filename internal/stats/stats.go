@@ -11,29 +11,15 @@ import (
 // Summary accumulates a stream of float64 observations and answers the
 // usual summary questions. The zero value is ready to use.
 type Summary struct {
-	n          int64
-	sum, sumSq float64
-	min, max   float64
+	n   int64
+	sum float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
 }
-
-// N returns the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean (0 for an empty summary).
 func (s *Summary) Mean() float64 {
@@ -42,28 +28,6 @@ func (s *Summary) Mean() float64 {
 	}
 	return s.sum / float64(s.n)
 }
-
-// Min returns the smallest observation (0 for an empty summary).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty summary).
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the population variance.
-func (s *Summary) Variance() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
-	if v < 0 {
-		return 0 // numerical noise
-	}
-	return v
-}
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Sample collects observations for exact percentile computation. The
 // zero value is ready to use.
@@ -80,18 +44,6 @@ func (s *Sample) Add(v float64) {
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.vals) }
-
-// Mean returns the arithmetic mean.
-func (s *Sample) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
 
 // Percentile returns the p-th percentile (p in [0,100]) by linear
 // interpolation between closest ranks. Empty samples yield 0.

@@ -48,9 +48,6 @@ func (t *Table) AddRowf(cells ...any) {
 	t.AddRow(strCells...)
 }
 
-// Title returns the table title.
-func (t *Table) Title() string { return t.title }
-
 // Headers returns the column headers.
 func (t *Table) Headers() []string { return t.headers }
 

@@ -2,184 +2,60 @@ package trace
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
-
-	"github.com/nowproject/now/internal/sim"
 )
 
-// CSV writers and readers for the synthetic traces, so runs can be
-// exported for external analysis (cmd/nowtrace) and replayed from disk
-// instead of regenerated.
+// CSV writers for the synthetic traces, so runs can be exported for
+// external analysis (cmd/nowtrace). One writer per trace kind; each
+// writes a header row, then one row per record, and returns the first
+// write or flush error.
 
 // WriteActivityCSV writes an activity trace as t_ns,workstation,active.
 func WriteActivityCSV(w io.Writer, tr *ActivityTrace) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_ns", "workstation", "active"}); err != nil {
-		return err
-	}
-	for _, ev := range tr.Events {
-		if err := cw.Write([]string{
-			strconv.FormatInt(int64(ev.T), 10),
-			strconv.Itoa(ev.WS),
-			strconv.FormatBool(ev.Active),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadActivityCSV parses WriteActivityCSV output. Workstation count and
-// length are recovered from the data.
-func ReadActivityCSV(r io.Reader) (*ActivityTrace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: activity csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty activity csv")
-	}
-	tr := &ActivityTrace{}
-	for i, row := range rows[1:] {
-		if len(row) != 3 {
-			return nil, fmt.Errorf("trace: activity csv row %d has %d fields", i+2, len(row))
-		}
-		t, err := strconv.ParseInt(row[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: activity csv row %d: %w", i+2, err)
-		}
-		ws, err := strconv.Atoi(row[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: activity csv row %d: %w", i+2, err)
-		}
-		active, err := strconv.ParseBool(row[2])
-		if err != nil {
-			return nil, fmt.Errorf("trace: activity csv row %d: %w", i+2, err)
-		}
-		ev := ActivityEvent{T: sim.Time(t), WS: ws, Active: active}
-		tr.Events = append(tr.Events, ev)
-		if ws+1 > tr.Workstations {
-			tr.Workstations = ws + 1
-		}
-		if ev.T > tr.Length {
-			tr.Length = ev.T
-		}
-	}
-	return tr, nil
+	return writeCSV(w, []string{"t_ns", "workstation", "active"}, tr.Events, func(ev ActivityEvent) []string {
+		return []string{strconv.FormatInt(int64(ev.T), 10), strconv.Itoa(ev.WS), strconv.FormatBool(ev.Active)}
+	})
 }
 
 // WriteJobsCSV writes a parallel job log.
 func WriteJobsCSV(w io.Writer, jobs []ParallelJob) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "arrive_ns", "nodes", "work_ns", "grain_ns"}); err != nil {
-		return err
-	}
-	for _, j := range jobs {
-		if err := cw.Write([]string{
-			strconv.Itoa(j.ID),
-			strconv.FormatInt(int64(j.Arrive), 10),
-			strconv.Itoa(j.Nodes),
-			strconv.FormatInt(int64(j.Work), 10),
-			strconv.FormatInt(int64(j.CommGrain), 10),
-		}); err != nil {
-			return err
+	return writeCSV(w, []string{"id", "arrive_ns", "nodes", "work_ns", "grain_ns"}, jobs, func(j ParallelJob) []string {
+		return []string{
+			strconv.Itoa(j.ID), strconv.FormatInt(int64(j.Arrive), 10), strconv.Itoa(j.Nodes),
+			strconv.FormatInt(int64(j.Work), 10), strconv.FormatInt(int64(j.CommGrain), 10),
 		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadJobsCSV parses WriteJobsCSV output.
-func ReadJobsCSV(r io.Reader) ([]ParallelJob, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: jobs csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty jobs csv")
-	}
-	out := make([]ParallelJob, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != 5 {
-			return nil, fmt.Errorf("trace: jobs csv row %d has %d fields", i+2, len(row))
-		}
-		var j ParallelJob
-		var arrive, work, grain int64
-		if j.ID, err = strconv.Atoi(row[0]); err == nil {
-			if arrive, err = strconv.ParseInt(row[1], 10, 64); err == nil {
-				if j.Nodes, err = strconv.Atoi(row[2]); err == nil {
-					if work, err = strconv.ParseInt(row[3], 10, 64); err == nil {
-						grain, err = strconv.ParseInt(row[4], 10, 64)
-					}
-				}
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: jobs csv row %d: %w", i+2, err)
-		}
-		j.Arrive = sim.Time(arrive)
-		j.Work = sim.Duration(work)
-		j.CommGrain = sim.Duration(grain)
-		out = append(out, j)
-	}
-	return out, nil
+	})
 }
 
 // WriteFileAccessCSV writes a block-access trace.
 func WriteFileAccessCSV(w io.Writer, accs []FileAccess) error {
+	return writeCSV(w, []string{"t_ns", "client", "file", "block", "write"}, accs, func(a FileAccess) []string {
+		return []string{
+			strconv.FormatInt(int64(a.T), 10), strconv.Itoa(a.Client),
+			strconv.FormatUint(uint64(a.File), 10), strconv.FormatUint(uint64(a.Block), 10),
+			strconv.FormatBool(a.Write),
+		}
+	})
+}
+
+// WriteNFSCSV writes an NFS operation mix.
+func WriteNFSCSV(w io.Writer, ops []NFSOp) error {
+	return writeCSV(w, []string{"request_bytes", "reply_bytes", "metadata"}, ops, func(op NFSOp) []string {
+		return []string{strconv.Itoa(op.RequestBytes), strconv.Itoa(op.ReplyBytes), strconv.FormatBool(op.Metadata)}
+	})
+}
+
+func writeCSV[T any](w io.Writer, header []string, recs []T, row func(T) []string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_ns", "client", "file", "block", "write"}); err != nil {
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, a := range accs {
-		if err := cw.Write([]string{
-			strconv.FormatInt(int64(a.T), 10),
-			strconv.Itoa(a.Client),
-			strconv.FormatUint(uint64(a.File), 10),
-			strconv.FormatUint(uint64(a.Block), 10),
-			strconv.FormatBool(a.Write),
-		}); err != nil {
+	for _, r := range recs {
+		if err := cw.Write(row(r)); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadFileAccessCSV parses WriteFileAccessCSV output.
-func ReadFileAccessCSV(r io.Reader) ([]FileAccess, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: file csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty file csv")
-	}
-	out := make([]FileAccess, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != 5 {
-			return nil, fmt.Errorf("trace: file csv row %d has %d fields", i+2, len(row))
-		}
-		t, err1 := strconv.ParseInt(row[0], 10, 64)
-		client, err2 := strconv.Atoi(row[1])
-		file, err3 := strconv.ParseUint(row[2], 10, 32)
-		block, err4 := strconv.ParseUint(row[3], 10, 32)
-		write, err5 := strconv.ParseBool(row[4])
-		for _, err := range []error{err1, err2, err3, err4, err5} {
-			if err != nil {
-				return nil, fmt.Errorf("trace: file csv row %d: %w", i+2, err)
-			}
-		}
-		out = append(out, FileAccess{
-			T: sim.Time(t), Client: client,
-			File: uint32(file), Block: uint32(block), Write: write,
-		})
-	}
-	return out, nil
 }

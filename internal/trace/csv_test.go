@@ -2,9 +2,38 @@ package trace
 
 import (
 	"bytes"
-	"strings"
+	"encoding/csv"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 )
+
+// checkCSV parses a writer's output with encoding/csv and compares it
+// with the header and with one row per record, each field formatted by
+// fmt.
+func checkCSV(t *testing.T, data []byte, header []string, rows [][]any) {
+	t.Helper()
+	got, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows)+1 {
+		t.Fatalf("%d rows, want header + %d", len(got), len(rows))
+	}
+	if !reflect.DeepEqual(got[0], header) {
+		t.Fatalf("header %q, want %q", got[0], header)
+	}
+	for i, rec := range rows {
+		want := make([]string, len(rec))
+		for j, v := range rec {
+			want[j] = fmt.Sprint(v)
+		}
+		if !reflect.DeepEqual(got[i+1], want) {
+			t.Fatalf("row %d = %q, want %q", i+1, got[i+1], want)
+		}
+	}
+}
 
 func TestActivityCSVRoundTrip(t *testing.T) {
 	orig := GenerateActivity(DefaultActivityConfig(6, 1))
@@ -12,21 +41,11 @@ func TestActivityCSVRoundTrip(t *testing.T) {
 	if err := WriteActivityCSV(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadActivityCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var rows [][]any
+	for _, ev := range orig.Events {
+		rows = append(rows, []any{int64(ev.T), ev.WS, ev.Active})
 	}
-	if len(got.Events) != len(orig.Events) {
-		t.Fatalf("events: %d vs %d", len(got.Events), len(orig.Events))
-	}
-	for i := range got.Events {
-		if got.Events[i] != orig.Events[i] {
-			t.Fatalf("event %d differs", i)
-		}
-	}
-	if got.Workstations > orig.Workstations {
-		t.Fatalf("workstations: %d vs %d", got.Workstations, orig.Workstations)
-	}
+	checkCSV(t, buf.Bytes(), []string{"t_ns", "workstation", "active"}, rows)
 }
 
 func TestJobsCSVRoundTrip(t *testing.T) {
@@ -35,18 +54,11 @@ func TestJobsCSVRoundTrip(t *testing.T) {
 	if err := WriteJobsCSV(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJobsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var rows [][]any
+	for _, j := range orig {
+		rows = append(rows, []any{j.ID, int64(j.Arrive), j.Nodes, int64(j.Work), int64(j.CommGrain)})
 	}
-	if len(got) != len(orig) {
-		t.Fatalf("jobs: %d vs %d", len(got), len(orig))
-	}
-	for i := range got {
-		if got[i] != orig[i] {
-			t.Fatalf("job %d differs: %+v vs %+v", i, got[i], orig[i])
-		}
-	}
+	checkCSV(t, buf.Bytes(), []string{"id", "arrive_ns", "nodes", "work_ns", "grain_ns"}, rows)
 }
 
 func TestFileAccessCSVRoundTrip(t *testing.T) {
@@ -57,28 +69,46 @@ func TestFileAccessCSVRoundTrip(t *testing.T) {
 	if err := WriteFileAccessCSV(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFileAccessCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var rows [][]any
+	for _, a := range orig {
+		rows = append(rows, []any{int64(a.T), a.Client, a.File, a.Block, a.Write})
 	}
-	if len(got) != len(orig) {
-		t.Fatalf("accesses: %d vs %d", len(got), len(orig))
-	}
-	for i := range got {
-		if got[i] != orig[i] {
-			t.Fatalf("access %d differs", i)
-		}
-	}
+	checkCSV(t, buf.Bytes(), []string{"t_ns", "client", "file", "block", "write"}, rows)
 }
 
-func TestCSVReadersRejectGarbage(t *testing.T) {
-	if _, err := ReadActivityCSV(strings.NewReader("")); err == nil {
-		t.Error("empty activity accepted")
+func TestNFSCSVRoundTrip(t *testing.T) {
+	orig := GenerateNFS(DefaultNFSTraceConfig())[:500]
+	var buf bytes.Buffer
+	if err := WriteNFSCSV(&buf, orig); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadJobsCSV(strings.NewReader("id,arrive_ns,nodes,work_ns,grain_ns\nx,y,z,w,v\n")); err == nil {
-		t.Error("garbage jobs accepted")
+	var rows [][]any
+	for _, op := range orig {
+		rows = append(rows, []any{op.RequestBytes, op.ReplyBytes, op.Metadata})
 	}
-	if _, err := ReadFileAccessCSV(strings.NewReader("h\n1\n")); err == nil {
-		t.Error("short file rows accepted")
+	checkCSV(t, buf.Bytes(), []string{"request_bytes", "reply_bytes", "metadata"}, rows)
+}
+
+type failingWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestCSVWritersReportWriteErrors pins that no writer drops the error of
+// the stream under it.
+func TestCSVWritersReportWriteErrors(t *testing.T) {
+	w := failingWriter{}
+	cfg := DefaultFileTraceConfig()
+	cfg.Accesses = 10
+	for name, err := range map[string]error{
+		"activity": WriteActivityCSV(w, GenerateActivity(DefaultActivityConfig(2, 1))),
+		"jobs":     WriteJobsCSV(w, GenerateJobs(DefaultJobTraceConfig(3600*1e9))),
+		"files":    WriteFileAccessCSV(w, GenerateFileTrace(cfg)),
+		"nfs":      WriteNFSCSV(w, GenerateNFS(DefaultNFSTraceConfig())[:10]),
+	} {
+		if !errors.Is(err, errDiskFull) {
+			t.Errorf("%s: err = %v, want the writer's error", name, err)
+		}
 	}
 }

@@ -27,7 +27,6 @@ type (
 	GLUnix        = glunix.Cluster
 	Job           = glunix.Job
 	RecruitPolicy = glunix.RecruitPolicy
-	Coscheduler   = glunix.Coscheduler
 )
 
 // Recruit policies.
@@ -131,8 +130,8 @@ var NewRegistry = obs.NewRegistry
 
 // Instrumentable is anything that can export its internals into a
 // metrics registry. Every NOW subsystem satisfies it: the Engine,
-// Fabric, GLUnix, Coscheduler, NetRAMPager, CoopCache, RAIDArray, XFS,
-// and Comm all carry an Instrument method.
+// ShardedEngine, Fabric, GLUnix, NetRAMPager, CoopCache, RAIDArray, XFS,
+// Comm and InNet all carry an Instrument method.
 type Instrumentable interface {
 	Instrument(r *MetricsRegistry)
 }

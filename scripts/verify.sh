@@ -43,6 +43,11 @@ echo "== go test ./..."
 go test ./...
 echo "== go test -race ./internal/sim/... (incl. sharded engine paths)"
 go test -race -count=1 ./internal/sim/...
+echo "== sharded merge order (equal-At messages from several partitions inject by (At, Src, Seq) at every worker count)"
+gate 'TestShardedMergeOrderOnTies' ./internal/sim/
+echo "== wire it or delete it (every exported function and method has a non-test caller or an allowlist entry; a planted uncalled export fails the scan)"
+gate 'TestPlantedExportFails|TestAllowlistedExportPasses|TestAllowlistEntryNeedsReason' ./scripts/uncalled/
+go run ./scripts/uncalled
 echo "== go test -race ./internal/faults/..."
 go test -race -count=1 ./internal/faults/...
 echo "== go test -race ./internal/controlplane/... (serve drive loop + HTTP round trip)"
