@@ -94,14 +94,13 @@ type SystemPrice struct {
 
 // Component prices shared by every configuration.
 const (
-	totalCPUs      = 128
-	memPerCPUMB    = 32
-	dramPerMB      = 40.0   // $/MB at workstation volume
-	diskPerGB      = 700.0  // $/GB, commodity SCSI
-	diskTotalGB    = 128.0  //
-	xTerminal      = 1500.0 // screen for configurations without one per user
-	netPerNode     = 600.0  // switched LAN adapter + port per box
-	mppInterconnet = 0.0    // MPP interconnect is folded into its node price
+	totalCPUs   = 128
+	memPerCPUMB = 32
+	dramPerMB   = 40.0   // $/MB at workstation volume
+	diskPerGB   = 700.0  // $/GB, commodity SCSI
+	diskTotalGB = 128.0  //
+	xTerminal   = 1500.0 // screen for configurations without one per user
+	netPerNode  = 600.0  // switched LAN adapter + port per box
 )
 
 // PriceSystem computes one configuration's total price. Boxes that do

@@ -74,15 +74,9 @@ func RecruitmentPolicyAblation(ws, days int, seed int64) (Report, []PolicyRow, e
 		if err != nil {
 			return Report{}, nil, fmt.Errorf("policy ablation %v: %w", policy, err)
 		}
-		var sl stats.Summary
-		for id, resp := range res.Responses {
-			if base := ideal[id]; base > 0 {
-				sl.Add(float64(resp) / float64(base))
-			}
-		}
 		row := PolicyRow{
 			Policy:       policy,
-			Slowdown:     sl.Mean(),
+			Slowdown:     glunix.Slowdown(res, glunix.MixedResult{Responses: ideal}),
 			UserP95Delay: res.Master.UserDelays.Percentile(95),
 			Disturbed:    res.Master.UserDisturbed,
 			Restarts:     res.Master.Restarts,

@@ -3,6 +3,7 @@ package glunix
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/nowproject/now/internal/sim"
 	"github.com/nowproject/now/internal/stats"
@@ -77,12 +78,18 @@ func (c *Cluster) RunMixed(activity *trace.ActivityTrace, jobs []trace.ParallelJ
 
 // Slowdown compares a NOW run against a dedicated-machine baseline: the
 // mean, over jobs completed in both runs, of response(now)/response
-// (dedicated) — Figure 3's y-axis.
+// (dedicated) — Figure 3's y-axis. It sums in job-id order: summing in
+// map order would let the mean's low bits differ from run to run.
 func Slowdown(now, dedicated MixedResult) float64 {
+	ids := make([]int, 0, len(now.Responses))
+	for id := range now.Responses {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	var s stats.Summary
-	for id, rNow := range now.Responses {
+	for _, id := range ids {
 		if rDed, ok := dedicated.Responses[id]; ok && rDed > 0 {
-			s.Add(float64(rNow) / float64(rDed))
+			s.Add(float64(now.Responses[id]) / float64(rDed))
 		}
 	}
 	return s.Mean()

@@ -135,6 +135,7 @@ type Fabric struct {
 	txLinks  []*sim.Resource // switched mode: per-node transmit links
 	rxFree   []sim.Time      // switched mode: per-node receive-link horizon
 	topo     Topology        // nil: flat crossbar
+	route    []int           // Send's route scratch, reused across sends
 	linkFree []sim.Time      // per internal-link busy-until horizon (topologies)
 	ports    [][]Delivery    // per-node, port-indexed delivery handlers
 	pool     []*Packet       // free list for NewPacket/FreePacket
@@ -305,8 +306,13 @@ func (f *Fabric) Send(p *sim.Proc, pkt *Packet) {
 	tail := f.eng.Now()
 	hops := 1
 	if t := f.topo; t != nil {
-		var routeArr [32]int
-		for _, li := range t.Route(pkt.Src, pkt.Dst, routeArr[:0]) {
+		// The route lands in the fabric's own scratch slice: a stack
+		// array would escape through the interface call and cost a heap
+		// allocation per send. Reuse is safe because nothing parks
+		// between Route and the end of this walk, and a sharded fabric
+		// (the only concurrent sender) rejects topologies.
+		f.route = t.Route(pkt.Src, pkt.Dst, f.route[:0])
+		for _, li := range f.route {
 			headAt := tail - ser + f.cfg.Latency
 			if f.linkFree[li] > headAt {
 				headAt = f.linkFree[li]

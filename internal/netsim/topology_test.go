@@ -223,9 +223,11 @@ func TestTopoByName(t *testing.T) {
 	}
 }
 
-// BenchmarkTorusRoute measures the per-packet routing cost on a
-// 1,024-node torus — the topology walk every Send pays (bench.sh
-// records it in BENCH_sim.json).
+// BenchmarkTorusRoute measures Route alone on a 1,024-node torus, with
+// a caller-owned buffer (bench.sh records it in BENCH_sim.json). It
+// does not see what a routed Send pays around the walk — link
+// horizons, delivery, and any buffer escape; BenchmarkFabricDelivery's
+// fattree case and TestRoutedSendDoesNotAllocate cover that.
 func BenchmarkTorusRoute(b *testing.B) {
 	topo, err := NewTorus(1024)
 	if err != nil {

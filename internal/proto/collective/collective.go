@@ -59,7 +59,6 @@ const (
 	hBcast   = 2 // broadcast: parent→child value
 	hReduce  = 3 // reduce: child→parent partial sum
 	hA2A     = 4 // all-to-all: one block
-	handlers = 5
 )
 
 // bcastMsg carries a broadcast value down the tree.

@@ -27,15 +27,23 @@
 //
 // Epoch safety: every operation is tagged with the calling rank's
 // per-operation epoch counter. All ranks execute the same collective
-// sequence, so epoch tags agree across ranks, and switches accumulate
-// per-(operation, epoch) — a fast subtree injecting epoch k+1 while a
-// slow subtree is still combining epoch k lands in a different
-// accumulator. The combine plane itself never retries or reorders; the
-// AM layer's retry machinery is not involved.
+// sequence, so epoch tags agree across ranks. A switch accumulates one
+// epoch per operation kind at a time: no rank can inject epoch k+1
+// before it was released from epoch k, and that release needed every
+// switch's epoch-k combine. A contribution whose epoch disagrees with
+// the one being combined panics. The combine plane itself never
+// retries or reorders; the AM layer's retry machinery is not involved.
+//
+// Events: every hop is scheduled with Engine.AtArg on one of three
+// handlers bound once in NewInNet, with a long-lived record as the
+// arg — a rank's injection slot, a switch's forward slot, or a stop of
+// a pooled multicast wave — so steady-state operations allocate
+// nothing per rank or per hop (DESIGN.md §13).
 package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/nowproject/now/internal/netsim"
 	"github.com/nowproject/now/internal/obs"
@@ -50,26 +58,87 @@ type InNetConfig struct {
 	CtrlBytes int
 }
 
-// swState is one switch's combine-plane state.
-type swState struct {
-	parent   int   // parent switch, -1 at the root
-	kids     []int // participant-bearing child switches, ascending
-	hosts    []int // ranks attached here, ascending
-	expected int   // contributions per combine: len(kids) + len(hosts)
+// opKind names the three operations the combine plane runs. Every
+// switch keeps one accumulator per kind, so the kinds never mix.
+type opKind uint8
 
-	bar map[uint64]int     // barrier: contributions seen, per epoch
-	red map[uint64]*redAcc // reduce: partial sum + contributions, per epoch
+const (
+	opBarrier opKind = iota
+	opBroadcast
+	opAllReduce
+	numOps
+)
+
+// spanNames names each kind's multicast-wave span.
+var spanNames = [numOps]string{"innet.combine.barrier", "innet.combine.broadcast", "innet.combine.allreduce"}
+
+// msg is one combine-plane payload: what a rank injects, what a switch
+// forwards up, and what the multicast delivers.
+type msg struct {
+	kind  opKind
+	epoch uint64
+	sum   int64 // allreduce: partial or total
+	val   any   // broadcast: the value
+	bytes int   // payload bytes on the wire (control header excluded)
 }
 
-// inState is one rank's in-network operation state.
-type inState struct {
-	barEpoch   uint64
-	bcastEpoch uint64
-	redEpoch   uint64
-	barGot     map[uint64]bool
-	bcastGot   map[uint64]bcastMsg
-	redGot     map[uint64]int64
-	sig        *sim.Signal
+// upMsg is a msg climbing toward the root. It lives in a long-lived
+// slot — a rank's injection or a switch's forward — and is the arg of
+// its arrival event, so climbing allocates nothing.
+type upMsg struct {
+	msg
+	to *combiner // accumulator it lands in; nil while not in flight
+}
+
+// combiner is one switch's accumulator for one operation kind. One
+// slot is enough: a switch sees epoch k+1 of a kind only from a rank
+// that was released from epoch k, and that release needed this
+// switch's epoch-k forward to land. So one epoch accumulates here at a
+// time, and at most one forward (out) is in flight.
+type combiner struct {
+	sw     int       // id of the switch it belongs to
+	parent *combiner // same kind one switch up; nil at the root
+	need   int       // contributions per combine: 1 for broadcast, which only climbs
+	n      int       // contributions seen this epoch
+	acc    msg       // the epoch being combined
+	out    upMsg     // the forward to parent
+}
+
+// swNode is one switch's combine-plane state.
+type swNode struct {
+	kids  []int       // participant-bearing child switches, ascending
+	hosts []*rankNode // ranks attached here, ascending
+	up    [numOps]combiner
+}
+
+// rankNode is one rank's in-network operation state.
+type rankNode struct {
+	rank  int
+	node  netsim.NodeID
+	sw    *swNode
+	epoch [numOps]uint64 // next epoch per kind
+	inj   upMsg          // this rank's injection
+	inbox []msg          // delivered results not yet collected
+	sig   *sim.Signal
+}
+
+// wave is one multicast down the tree. Its stops are the args of its
+// events — one per switch, one per rank — so fanning out allocates
+// nothing; waves recycle through InNet.free once every rank has its
+// copy.
+type wave struct {
+	res     msg
+	span    obs.SpanID
+	pending int        // host deliveries still to land
+	at      []waveStop // per switch id
+	to      []waveStop // per rank
+	next    *wave      // free list
+}
+
+// waveStop is one place a wave reaches: a switch, or a rank.
+type waveStop struct {
+	w *wave
+	i int
 }
 
 // innetMetrics holds the plane's collector handles; nil when not
@@ -91,12 +160,15 @@ type InNet struct {
 	ctrl int
 	lat  sim.Duration
 
-	sw       []*swState
-	swOfRank []int // rank → ingress/egress switch
-	rs       []*inState
-	barView  map[int]map[uint64]int // per-switch barrier maps, combineUp's view
-	reg      *obs.Registry
-	m        *innetMetrics
+	sw    []swNode
+	ranks []rankNode
+	free  *wave
+	reg   *obs.Registry
+	m     *innetMetrics
+
+	// Bound event handlers, created once so that scheduling with
+	// Engine.AtArg allocates no closure (the Fabric.deliverFn pattern).
+	upFn, downFn, deliverFn func(any)
 }
 
 // NewInNet builds the in-network plane over c's fabric topology. Every
@@ -120,58 +192,54 @@ func NewInNet(c *Comm, cfg InNetConfig) (*InNet, error) {
 	fab := c.eps[0].Fabric()
 	tree := netsim.CombineTreeOf(fab.Topology(), int(maxNode)+1)
 	x := &InNet{
-		c:    c,
-		eng:  c.eng,
-		fab:  fab,
-		ctrl: cfg.CtrlBytes,
-		lat:  fab.Config().Latency,
-		sw:   make([]*swState, len(tree.Parent)),
-		rs:   make([]*inState, c.n),
-
-		swOfRank: make([]int, c.n),
+		c:     c,
+		eng:   c.eng,
+		fab:   fab,
+		ctrl:  cfg.CtrlBytes,
+		lat:   fab.Config().Latency,
+		sw:    make([]swNode, len(tree.Parent)),
+		ranks: make([]rankNode, c.n),
 	}
-	for s := range x.sw {
-		x.sw[s] = &swState{
-			parent: tree.Parent[s],
-			bar:    make(map[uint64]int),
-			red:    make(map[uint64]*redAcc),
-		}
-	}
-	for r := 0; r < c.n; r++ {
-		s := tree.SwitchOf[c.nodeOf[r]]
-		x.swOfRank[r] = s
-		x.sw[s].hosts = append(x.sw[s].hosts, r)
-		x.rs[r] = &inState{
-			barGot:   make(map[uint64]bool),
-			bcastGot: make(map[uint64]bcastMsg),
-			redGot:   make(map[uint64]int64),
-			sig:      sim.NewSignal(c.eng, fmt.Sprintf("innet%d", r)),
-		}
+	x.upFn, x.downFn, x.deliverFn = x.arriveUp, x.arriveDown, x.deliver
+	for r := range x.ranks {
+		rn := &x.ranks[r]
+		rn.rank = r
+		rn.node = c.node(r)
+		rn.sw = &x.sw[tree.SwitchOf[rn.node]]
+		rn.sw.hosts = append(rn.sw.hosts, rn)
+		rn.sig = sim.NewSignal(c.eng, fmt.Sprintf("innet%d", r))
 	}
 	// Participant-bearing switches only: a switch whose subtree holds no
 	// ranks never combines and never multicasts. Mark host-bearing
 	// switches and propagate toward the root, then wire child lists.
 	active := make([]bool, len(x.sw))
-	for s, st := range x.sw {
-		if len(st.hosts) == 0 {
+	for s := range x.sw {
+		if len(x.sw[s].hosts) == 0 {
 			continue
 		}
-		for q := s; q >= 0 && !active[q]; q = x.sw[q].parent {
+		for q := s; q >= 0 && !active[q]; q = tree.Parent[q] {
 			active[q] = true
 		}
 	}
-	for s, st := range x.sw {
-		if !active[s] || st.parent < 0 {
+	for s := range x.sw {
+		if par := tree.Parent[s]; active[s] && par >= 0 {
+			x.sw[par].kids = append(x.sw[par].kids, s)
+		}
+	}
+	for s := range x.sw {
+		if !active[s] {
 			continue
 		}
-		p := x.sw[st.parent]
-		p.kids = append(p.kids, s)
-	}
-	for s, st := range x.sw {
-		if active[s] {
-			st.expected = len(st.kids) + len(st.hosts)
-			if st.parent >= 0 && !active[st.parent] {
-				return nil, fmt.Errorf("collective: combine tree inconsistent at switch %d", s)
+		st := &x.sw[s]
+		for k := range st.up {
+			cb := &st.up[k]
+			cb.sw = s
+			cb.need = len(st.kids) + len(st.hosts)
+			if opKind(k) == opBroadcast {
+				cb.need = 1
+			}
+			if par := tree.Parent[s]; par >= 0 {
+				cb.parent = &x.sw[par].up[k]
 			}
 		}
 	}
@@ -185,7 +253,8 @@ func NewInNet(c *Comm, cfg InNetConfig) (*InNet, error) {
 //
 //	collective.innet.ops       in-network operation completions (per rank)
 //	collective.innet.combines  switch combine events (one per switch per
-//	                           operation that saw all contributions)
+//	                           barrier or allreduce that saw all
+//	                           contributions)
 //	collective.innet.op.ns     per-rank in-network operation latency
 //
 // Each operation also records one "innet.combine" span (node -1) from
@@ -202,117 +271,9 @@ func (x *InNet) Instrument(r *obs.Registry) {
 	}
 }
 
-// swOf returns rank r's ingress/egress switch.
-func (x *InNet) swOf(r int) int { return x.swOfRank[r] }
-
 // hop is the switch-to-switch edge cost for a bytes-sized message.
 func (x *InNet) hop(bytes int) sim.Duration {
 	return x.fab.SerializationTime(bytes) + x.lat
-}
-
-// release tracks one multicast wave so its span can close at the last
-// host delivery.
-type release struct {
-	span    obs.SpanID
-	pending int
-}
-
-func (x *InNet) endRelease(rel *release) {
-	rel.pending--
-	if rel.pending == 0 {
-		x.reg.EndSpan(rel.span)
-	}
-}
-
-// inject charges the calling rank's side of an operation — send CPU
-// overhead and transmit-link occupancy — and schedules the arrival of
-// its contribution at the ingress switch.
-func (x *InNet) inject(p *sim.Proc, rank, bytes int, arrive func(sw int)) {
-	ep := x.c.eps[rank]
-	ep.ChargeSend(p, bytes)
-	x.fab.OccupyTx(p, x.c.node(rank), x.ctrl+bytes)
-	sw := x.swOf(rank)
-	x.eng.At(x.eng.Now()+x.lat, func() { arrive(sw) })
-}
-
-// combineUp runs one contribution into switch sw's per-epoch counter;
-// when the switch has heard from its whole subtree it forwards one
-// message up (or, at the root, starts the down wave via atRoot).
-// Runs in event context.
-func (x *InNet) combineUp(sw int, epoch uint64, counts map[int]map[uint64]int, bytes int, atRoot func(root int)) {
-	s := x.sw[sw]
-	c := counts[sw]
-	if c == nil {
-		c = make(map[uint64]int)
-		counts[sw] = c
-	}
-	c[epoch]++
-	if c[epoch] < s.expected {
-		return
-	}
-	delete(c, epoch)
-	if x.m != nil {
-		x.m.combines.Inc()
-	}
-	if s.parent >= 0 {
-		x.eng.At(x.eng.Now()+x.hop(x.ctrl+bytes), func() {
-			x.combineUp(s.parent, epoch, counts, bytes, atRoot)
-		})
-		return
-	}
-	atRoot(sw)
-}
-
-// multicast fans the result out from switch sw: child switches hear it
-// one hop later, and every attached rank's receive link is reserved for
-// the final edge — that is where the combine plane meets the data
-// plane. deliver runs at each rank's delivery time, in event context.
-func (x *InNet) multicast(sw int, bytes int, rel *release, deliver func(rank int)) {
-	s := x.sw[sw]
-	now := x.eng.Now()
-	for _, kid := range s.kids {
-		k := kid
-		x.eng.At(now+x.hop(x.ctrl+bytes), func() { x.multicast(k, bytes, rel, deliver) })
-	}
-	ser := x.fab.SerializationTime(x.ctrl + bytes)
-	for _, h := range s.hosts {
-		r := h
-		done := x.fab.ReserveRx(x.c.node(r), now+x.lat, ser)
-		x.eng.At(done, func() {
-			deliver(r)
-			x.endRelease(rel)
-		})
-	}
-}
-
-// startRelease opens the multicast-wave span at the root combine.
-func (x *InNet) startRelease(op string) *release {
-	rel := &release{pending: x.c.n}
-	if x.reg != nil {
-		rel.span = x.reg.StartSpan("innet.combine."+op, -1)
-	}
-	return rel
-}
-
-// finish records one rank's operation completion.
-func (x *InNet) finish(start sim.Time) {
-	if x.m != nil {
-		x.m.ops.Inc()
-		x.m.opNs.Observe(int64(x.eng.Now() - start))
-	}
-}
-
-// barCounts adapts the per-switch barrier maps to combineUp's shape.
-func (x *InNet) barCounts() map[int]map[uint64]int {
-	// The maps live on the switches; expose them through one view built
-	// at first use per InNet (not per call) to avoid allocation churn.
-	if x.barView == nil {
-		x.barView = make(map[int]map[uint64]int, len(x.sw))
-		for s, st := range x.sw {
-			x.barView[s] = st.bar
-		}
-	}
-	return x.barView
 }
 
 // Barrier blocks the calling rank until every rank has entered the
@@ -320,26 +281,7 @@ func (x *InNet) barCounts() map[int]map[uint64]int {
 // the release. One injected message and one received message per rank,
 // total, regardless of cluster size.
 func (x *InNet) Barrier(p *sim.Proc, rank int) error {
-	start := x.eng.Now()
-	st := x.rs[rank]
-	epoch := st.barEpoch
-	st.barEpoch++
-	x.inject(p, rank, 0, func(sw int) {
-		x.combineUp(sw, epoch, x.barCounts(), 0, func(root int) {
-			rel := x.startRelease("barrier")
-			x.multicast(root, 0, rel, func(r int) {
-				rs := x.rs[r]
-				rs.barGot[epoch] = true
-				rs.sig.Broadcast()
-			})
-		})
-	})
-	for !st.barGot[epoch] {
-		st.sig.Wait(p)
-	}
-	delete(st.barGot, epoch)
-	x.c.eps[rank].ChargeRecv(p, 0)
-	x.finish(start)
+	x.run(p, rank, msg{kind: opBarrier})
 	return nil
 }
 
@@ -348,102 +290,155 @@ func (x *InNet) Barrier(p *sim.Proc, rank int) error {
 // root, then multicasts down. Every rank (rank 0 included) receives
 // its copy off its own switch.
 func (x *InNet) Broadcast(p *sim.Proc, rank int, val any, bytes int) (any, error) {
-	start := x.eng.Now()
-	st := x.rs[rank]
-	epoch := st.bcastEpoch
-	st.bcastEpoch++
-	if rank == 0 {
-		x.inject(p, rank, bytes, func(sw int) {
-			x.climb(sw, bytes, func(root int) {
-				rel := x.startRelease("broadcast")
-				x.multicast(root, bytes, rel, func(r int) {
-					rs := x.rs[r]
-					rs.bcastGot[epoch] = bcastMsg{epoch: epoch, val: val, bytes: bytes}
-					rs.sig.Broadcast()
-				})
-			})
-		})
-	}
-	var got bcastMsg
-	for {
-		if msg, ok := st.bcastGot[epoch]; ok {
-			delete(st.bcastGot, epoch)
-			got = msg
-			break
-		}
-		st.sig.Wait(p)
-	}
-	x.c.eps[rank].ChargeRecv(p, got.bytes)
-	x.finish(start)
+	got := x.run(p, rank, msg{kind: opBroadcast, val: val, bytes: bytes})
 	return got.val, nil
-}
-
-// climb forwards a message from switch sw to the root without
-// combining (broadcast's up-path: a single source, nothing to merge).
-func (x *InNet) climb(sw int, bytes int, atRoot func(root int)) {
-	s := x.sw[sw]
-	if s.parent < 0 {
-		atRoot(sw)
-		return
-	}
-	x.eng.At(x.eng.Now()+x.hop(x.ctrl+bytes), func() { x.climb(s.parent, bytes, atRoot) })
 }
 
 // AllReduce is the in-network plane's flagship: reduce up, multicast
 // the total down, every rank gets the global sum with one injection
 // and one delivery.
 func (x *InNet) AllReduce(p *sim.Proc, rank int, v int64) (int64, error) {
+	got := x.run(p, rank, msg{kind: opAllReduce, sum: v, bytes: x.c.cfg.ElemBytes})
+	return got.sum, nil
+}
+
+// run is one rank's side of every operation: stamp the rank's next
+// epoch of the kind, inject (every rank, except that only rank 0
+// injects a broadcast) — send CPU overhead and transmit-link occupancy,
+// then arrival at the ingress switch one latency later — and wait for
+// the multicast to deliver the result, paying the receive overhead.
+func (x *InNet) run(p *sim.Proc, rank int, m msg) msg {
 	start := x.eng.Now()
-	st := x.rs[rank]
-	epoch := st.redEpoch
-	st.redEpoch++
-	x.inject(p, rank, x.c.cfg.ElemBytes, func(sw int) {
-		x.reduceUp(sw, epoch, v, func(root int, total int64) {
-			rel := x.startRelease("allreduce")
-			x.multicast(root, x.c.cfg.ElemBytes, rel, func(r int) {
-				rs := x.rs[r]
-				rs.redGot[epoch] = total
-				rs.sig.Broadcast()
-			})
-		})
-	})
+	rn := &x.ranks[rank]
+	m.epoch = rn.epoch[m.kind]
+	rn.epoch[m.kind]++
+	if m.kind != opBroadcast || rank == 0 {
+		x.c.eps[rank].ChargeSend(p, m.bytes)
+		x.fab.OccupyTx(p, rn.node, x.ctrl+m.bytes)
+		x.sendUp(&rn.inj, &rn.sw.up[m.kind], m, x.lat)
+	}
+	got := rn.await(p, m.kind, m.epoch)
+	x.c.eps[rank].ChargeRecv(p, got.bytes)
+	if x.m != nil {
+		x.m.ops.Inc()
+		x.m.opNs.Observe(int64(x.eng.Now() - start))
+	}
+	return got
+}
+
+// await parks the rank until the result of (kind, epoch) is in its
+// inbox, and takes it out. A broadcast rank can hold several: rank 0
+// starts wave k+1 as soon as its own copy of wave k lands, while other
+// ranks' copies of wave k still queue on their receive links. They can
+// even land out of order: switch hops cost serialization, so a small
+// wave k+1 can overtake a large wave k on a deep combine tree (the
+// torus's), which is why results are matched by epoch, not popped.
+func (rn *rankNode) await(p *sim.Proc, kind opKind, epoch uint64) msg {
 	for {
-		if total, ok := st.redGot[epoch]; ok {
-			delete(st.redGot, epoch)
-			x.c.eps[rank].ChargeRecv(p, x.c.cfg.ElemBytes)
-			x.finish(start)
-			return total, nil
+		for i, got := range rn.inbox {
+			if got.kind == kind && got.epoch == epoch {
+				rn.inbox = slices.Delete(rn.inbox, i, i+1)
+				return got
+			}
 		}
-		st.sig.Wait(p)
+		rn.sig.Wait(p)
 	}
 }
 
-// reduceUp accumulates one partial into switch sw for one epoch and
-// forwards the subtree total when complete. Event context.
-func (x *InNet) reduceUp(sw int, epoch uint64, v int64, atRoot func(root int, total int64)) {
-	s := x.sw[sw]
-	acc := s.red[epoch]
-	if acc == nil {
-		acc = &redAcc{}
-		s.red[epoch] = acc
+// sendUp schedules m's arrival at accumulator to, d from now, carried
+// in the long-lived slot.
+func (x *InNet) sendUp(slot *upMsg, to *combiner, m msg, d sim.Duration) {
+	if slot.to != nil {
+		panic(fmt.Sprintf("collective: combine-plane %v epoch %d sent while epoch %d is still in flight",
+			spanNames[m.kind], m.epoch, slot.epoch))
 	}
-	acc.sum += v
-	acc.n++
-	if acc.n < s.expected {
+	slot.msg, slot.to = m, to
+	x.eng.AtArg(x.eng.Now()+d, x.upFn, slot)
+}
+
+// arriveUp lands one upMsg in its accumulator. When the switch has
+// heard from its whole subtree it forwards one message up, or, at the
+// root, starts the multicast. Event context.
+func (x *InNet) arriveUp(arg any) {
+	slot := arg.(*upMsg)
+	cb := slot.to
+	slot.to = nil
+	m := slot.msg
+	if cb.n == 0 {
+		cb.acc = m
+	} else {
+		if cb.acc.epoch != m.epoch {
+			panic(fmt.Sprintf("collective: switch %d got %s epoch %d while combining epoch %d",
+				cb.sw, spanNames[m.kind], m.epoch, cb.acc.epoch))
+		}
+		cb.acc.sum += m.sum
+	}
+	cb.n++
+	if cb.n < cb.need {
 		return
 	}
-	total := acc.sum
-	delete(s.red, epoch)
-	if x.m != nil {
+	cb.n = 0
+	if x.m != nil && m.kind != opBroadcast {
 		x.m.combines.Inc()
 	}
-	if s.parent >= 0 {
-		x.eng.At(x.eng.Now()+x.hop(x.ctrl+x.c.cfg.ElemBytes), func() {
-			x.reduceUp(s.parent, epoch, total, atRoot)
-		})
+	if cb.parent != nil {
+		x.sendUp(&cb.out, cb.parent, cb.acc, x.hop(x.ctrl+cb.acc.bytes))
 		return
 	}
-	atRoot(sw, total)
+	w := x.free
+	if w != nil {
+		x.free = w.next
+	} else {
+		w = &wave{at: make([]waveStop, len(x.sw)), to: make([]waveStop, len(x.ranks))}
+		for i := range w.at {
+			w.at[i] = waveStop{w, i}
+		}
+		for i := range w.to {
+			w.to[i] = waveStop{w, i}
+		}
+	}
+	w.res, w.pending = cb.acc, len(x.ranks)
+	w.span = x.reg.StartSpan(spanNames[m.kind], -1)
+	x.multicast(w, cb.sw)
+}
+
+// arriveDown is a wave reaching a child switch. Event context.
+func (x *InNet) arriveDown(arg any) {
+	st := arg.(*waveStop)
+	x.multicast(st.w, st.i)
+}
+
+// multicast fans wave w out from switch sw: child switches hear it one
+// hop later, and every attached rank's receive link is reserved for
+// the final edge — that is where the combine plane meets the data
+// plane.
+func (x *InNet) multicast(w *wave, sw int) {
+	s := &x.sw[sw]
+	now := x.eng.Now()
+	for _, kid := range s.kids {
+		x.eng.AtArg(now+x.hop(x.ctrl+w.res.bytes), x.downFn, &w.at[kid])
+	}
+	ser := x.fab.SerializationTime(x.ctrl + w.res.bytes)
+	for _, rn := range s.hosts {
+		done := x.fab.ReserveRx(rn.node, now+x.lat, ser)
+		x.eng.AtArg(done, x.deliverFn, &w.to[rn.rank])
+	}
+}
+
+// deliver hands a wave's result to one rank at its delivery time, and
+// closes the wave's span (and recycles the wave) at the last one.
+// Event context.
+func (x *InNet) deliver(arg any) {
+	st := arg.(*waveStop)
+	w, rn := st.w, &x.ranks[st.i]
+	rn.inbox = append(rn.inbox, w.res)
+	rn.sig.Broadcast()
+	w.pending--
+	if w.pending == 0 {
+		x.reg.EndSpan(w.span)
+		w.res = msg{}
+		w.next, x.free = x.free, w
+	}
 }
 
 // PredictInNetBarrier estimates the in-network barrier on a combine

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/nowproject/now/internal/netsim"
@@ -149,12 +150,14 @@ func TestInNetValuesAcrossTopologies(t *testing.T) {
 	}
 }
 
-// TestInNetEpochSkew drives a fast subtree several operations ahead of
-// a deliberately slowed one: per-(op, epoch) switch accumulators must
-// keep the overlapping operations separate. Rank n-1 (a leaf in its
-// own subtree on the fat-tree) sleeps before every operation, so the
-// rest of the cluster's injections for epochs k+1, k+2 … pile into the
-// switches while epoch k is still incomplete.
+// TestInNetEpochSkew holds one rank back before every AllReduce. The
+// other ranks have all injected epoch k and wait, so the switches on
+// the slow rank's path (a leaf in its own subtree on the fat-tree) sit
+// on a partial epoch-k sum for 5 ms while the rest of the tree has
+// long finished combining. No rank can inject epoch k+1 before epoch k
+// is released, so the test pins the other half of epoch safety: each
+// epoch's total is exact, and every switch's accumulator turns over
+// cleanly from one epoch to the next.
 func TestInNetEpochSkew(t *testing.T) {
 	e := sim.NewEngine(1)
 	defer e.Close()
@@ -188,6 +191,133 @@ func TestInNetEpochSkew(t *testing.T) {
 	}
 	if procErr != nil {
 		t.Fatal(procErr)
+	}
+}
+
+// TestInNetBroadcastWavesOverlap runs back-to-back broadcasts from
+// rank 0 while a slow rank's receive link is busy: rank 0 returns as
+// soon as its own copy lands, so it finishes every wave before the slow
+// rank has its first, and several waves queue on that link at once.
+// The payload sizes vary, so on the torus a small wave overtakes a
+// large one on the way down. Every rank must still get every value, in
+// order.
+func TestInNetBroadcastWavesOverlap(t *testing.T) {
+	for _, topo := range []string{"crossbar", "fattree", "torus"} {
+		t.Run(topo, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			defer e.Close()
+			const n, slow = 16, 11
+			sizes := []int{4096, 16, 1024, 0, 64, 8192}
+			fab, c, x := rigTopo(t, e, n, topo, DefaultConfig())
+			fab.ReserveRx(c.node(slow), 0, 2*sim.Millisecond)
+			var procErr error
+			fail := func(format string, args ...any) {
+				if procErr == nil {
+					procErr = fmt.Errorf(format, args...)
+				}
+			}
+			var rootDone, slowFirst sim.Time
+			for r := 0; r < n; r++ {
+				r := r
+				e.Spawn("rank", func(p *sim.Proc) {
+					if r == slow {
+						p.Sleep(sim.Millisecond)
+					}
+					for i, bytes := range sizes {
+						got, err := x.Broadcast(p, r, 1000+i, bytes)
+						if err != nil {
+							fail("rank %d wave %d: %v", r, i, err)
+							return
+						}
+						if got.(int) != 1000+i {
+							fail("rank %d wave %d: got %v, want %d", r, i, got, 1000+i)
+							return
+						}
+						if r == slow && i == 0 {
+							slowFirst = p.Now()
+						}
+					}
+					if r == 0 {
+						rootDone = p.Now()
+					}
+				})
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if procErr != nil {
+				t.Fatal(procErr)
+			}
+			if rootDone >= slowFirst {
+				t.Fatalf("rank 0 finished at %v, after the slow rank's first copy at %v: the waves never overlapped", rootDone, slowFirst)
+			}
+		})
+	}
+}
+
+// TestInNetSteadyStateAllocs bounds what one steady-state operation
+// costs the host on 64 ranks: a handful of allocations per round of
+// each kind, not a few per rank or per switch hop.
+func TestInNetSteadyStateAllocs(t *testing.T) {
+	const n, maxPerRound = 64, 2
+	token := new(int)
+	ops := []struct {
+		name string
+		op   func(x *InNet, p *sim.Proc, r int) error
+	}{
+		{"barrier", func(x *InNet, p *sim.Proc, r int) error { return x.Barrier(p, r) }},
+		{"broadcast", func(x *InNet, p *sim.Proc, r int) error {
+			_, err := x.Broadcast(p, r, token, 64)
+			return err
+		}},
+		{"allreduce", func(x *InNet, p *sim.Proc, r int) error {
+			_, err := x.AllReduce(p, r, int64(r))
+			return err
+		}},
+	}
+	for _, o := range ops {
+		t.Run(o.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			defer e.Close()
+			_, _, x := rigTopo(t, e, n, "fattree", DefaultConfig())
+			stop := false
+			rounds := 0
+			for r := 0; r < n; r++ {
+				r := r
+				e.Spawn("rank", func(p *sim.Proc) {
+					for !stop {
+						if err := o.op(x, p, r); err != nil {
+							t.Error(err)
+							return
+						}
+						if r == n-1 {
+							rounds++
+						}
+					}
+				})
+			}
+			// Run past the spawns and the first waves into steady state.
+			if err := e.RunUntil(e.Now() + sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			before := rounds
+			if err := e.RunUntil(e.Now() + 5*sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			stop = true
+			done := rounds - before
+			if done < 20 {
+				t.Fatalf("only %d rounds ran while measuring", done)
+			}
+			per := float64(m1.Mallocs-m0.Mallocs) / float64(done)
+			t.Logf("%s: %d rounds, %.2f allocs per round on %d ranks", o.name, done, per, n)
+			if per > maxPerRound {
+				t.Fatalf("one %s round allocated %.2f objects on %d ranks, bound %d", o.name, per, n, maxPerRound)
+			}
+		})
 	}
 }
 
@@ -274,6 +404,7 @@ func BenchmarkFatTreeBarrier1024(b *testing.B) {
 			}
 		})
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

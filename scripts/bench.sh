@@ -33,14 +33,15 @@ go test -run '^$' -bench 'BenchmarkXFSReadDegraded$|BenchmarkXFSSeqScan$' -bench
 go test -run '^$' -bench 'BenchmarkSnapshotStream$' -benchmem -benchtime "$benchtime" \
     ./internal/controlplane/ | tee -a "$raw"
 
-# Fabric hot path (must stay at 0 allocs/op), per-hop topology routing
-# (torus dimension-order, 0 allocs/op), and the collective scale
-# headliners: the 1,024-rank software-tree barrier, its in-network
-# counterpart on a fat-tree, and a 128-rank all-to-all, with virtual
-# µs/op alongside the wall-clock figures.
+# Fabric hot path (must stay at 0 allocs/op, on the flat crossbar and
+# on a routed fat-tree), per-hop topology routing (torus
+# dimension-order, 0 allocs/op), and the collective scale headliners:
+# the 1,024-rank software-tree barrier, its in-network counterpart on a
+# fat-tree, and a 128-rank all-to-all, with virtual µs/op alongside the
+# wall-clock and allocation figures.
 go test -run '^$' -bench 'BenchmarkFabricDelivery$|BenchmarkTorusRoute$' -benchmem -benchtime "$benchtime" \
     ./internal/netsim/ | tee -a "$raw"
-go test -run '^$' -bench 'BenchmarkBarrier1024$|BenchmarkFatTreeBarrier1024$|BenchmarkAllToAll128$' -benchtime 2x \
+go test -run '^$' -bench 'BenchmarkBarrier1024$|BenchmarkFatTreeBarrier1024$|BenchmarkAllToAll128$' -benchmem -benchtime 2x \
     ./internal/proto/collective/ | tee -a "$raw"
 
 # Wide-area federation: a full lease grant/recall/write-back round trip

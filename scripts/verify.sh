@@ -69,11 +69,13 @@ gate 'TestFuncMetricsReadThrough|TestDuplicateNamePanics|TestNilRegistryIsInert|
 gate 'TestGaugesReadStatsLive' ./internal/coopcache/
 gate 'TestGaugesReadStatsLive' ./internal/xfs/
 gate 'TestCordonedGaugeIsCensus' ./internal/controlplane/
-echo "== shared read buffers and allocation bounds (Read returns the caller's copy, stored chunks match the model and parity host side, zero-alloc waits and LRU replacement, one read miss under its bound)"
+echo "== shared read buffers and allocation bounds (Read returns the caller's copy, stored chunks match the model and parity host side, zero-alloc waits, LRU replacement and routed sends, O(1) allocations per in-network collective round, one read miss under its bound)"
 gate 'TestReadResultIsCallersCopy|TestReadMissAllocBound' ./internal/xfs/
 gate 'TestRandomOpsMatchReferenceModel' ./internal/swraid/
 gate 'TestWaitsDoNotAllocate' ./internal/sim/
 gate 'TestPutOnFullCacheDoesNotAllocate' ./internal/lru/
+gate 'TestRoutedSendDoesNotAllocate' ./internal/netsim/
+gate 'TestInNetSteadyStateAllocs' ./internal/proto/collective/
 echo "== fault-plan golden determinism (same plan -> byte-identical exports)"
 gate 'TestFaultedRunGoldenDeterminism' ./cmd/nowsim/
 gate 'TestInjectorDeterministicExport' ./internal/faults/
@@ -92,7 +94,7 @@ gate 'TestRemediationStudyImproves' ./internal/experiments/
 echo "== topology study golden determinism (SC3 byte-identical, fabric conservation under loss)"
 gate 'TestStudyGoldens/SC3$' ./internal/experiments/
 gate 'TestTopologyLatencyAndContention|TestShardedLossInvariant' ./internal/netsim/
-gate 'TestInNetValuesAcrossTopologies|TestEpochIsolationUnderRetryChurn' ./internal/proto/collective/
+gate 'TestInNetValuesAcrossTopologies|TestInNetBroadcastWavesOverlap|TestEpochIsolationUnderRetryChurn' ./internal/proto/collective/
 echo "== cross-shard golden determinism (nowsim -shards 1/2/4/8 byte-identical)"
 gate 'TestShardedRunGoldenDeterminism' ./cmd/nowsim/
 gate 'TestShardedTrafficDeterministicAcrossWorkers' ./internal/experiments/
